@@ -30,11 +30,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
-#include "analysis/experiments.hpp"
 #include "cache/artifact_cache.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
@@ -65,6 +65,22 @@ double best_of_ms(int repeats, const std::function<void()>& fn) {
   return best;
 }
 
+/// Prints the table under its heading and, when REPRO_CSV_DIR is set,
+/// also writes it to `<dir>/<experiment_id>.csv`.
+void emit_table(const std::string& experiment_id, const std::string& heading,
+                const rdv::support::Table& table) {
+  std::printf("%s\n%s", heading.c_str(), table.to_markdown().c_str());
+  const std::string dir = rdv::support::repro_csv_dir();
+  if (dir.empty()) return;
+  const std::string path = dir + "/" + experiment_id + ".csv";
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    return;
+  }
+  out << table.to_csv();
+}
+
 /// One M3 case: a (graph, STIC) pair. Cases repeat graphs many times —
 /// the workload shape the cache exists for.
 struct CacheCase {
@@ -79,8 +95,8 @@ int main() {
   using rdv::analysis::Stic;
 
   // ---- M2: sequential vs pooled feasibility kernel -------------------
-  const auto g = families::oriented_ring(rdv::analysis::full_mode() ? 8 : 6);
-  const std::uint64_t max_delay = rdv::analysis::full_mode() ? 6 : 4;
+  const auto g = families::oriented_ring(rdv::support::repro_full() ? 8 : 6);
+  const std::uint64_t max_delay = rdv::support::repro_full() ? 6 : 4;
   const auto classes = rdv::views::compute_view_classes(g);
   const std::vector<Stic> stics =
       rdv::analysis::enumerate_stics(g, max_delay);
@@ -127,7 +143,7 @@ int main() {
                  std::to_string(stics.size()),
                  rdv::support::format_double(pool_ms, 3),
                  rate(pool_ms, stics.size())});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep", "M2: sweep runner, sequential vs pooled", table);
 
   // ---- M2b: pool scaling of the work-stealing scheduler --------------
@@ -195,7 +211,7 @@ int main() {
                          std::to_string(pool.park_count()),
                          std::to_string(pool.wakeup_count())});
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_scaling",
       "M2b: work-stealing pool scaling, flat and nested sweeps",
       scale_table);
@@ -205,7 +221,7 @@ int main() {
   // shape of every T-series sweep. The kernel resolves the graph's view
   // partition and quotient PER CASE; uncached that is O(n^2 m) each
   // time, cached it is one compute per distinct graph.
-  const std::uint32_t cache_n = rdv::analysis::full_mode() ? 10 : 8;
+  const std::uint32_t cache_n = rdv::support::repro_full() ? 10 : 8;
   std::vector<rdv::graph::Graph> cache_graphs;
   cache_graphs.push_back(families::oriented_ring(cache_n));
   cache_graphs.push_back(families::scrambled_ring(cache_n, /*seed=*/11));
@@ -303,7 +319,7 @@ int main() {
                      rate(cached_ms, cases.size()),
                      std::to_string(cache_stats.total_hits()),
                      std::to_string(cache_stats.total_misses())});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_cache",
       "M3: repeated-graph artifact sweep, uncached vs cached", cache_cmp);
 
@@ -353,7 +369,7 @@ int main() {
   shrink_cmp.add_row({"batched all-pairs", std::to_string(shrink_pairs),
                       rdv::support::format_double(batched_ms, 3),
                       rdv::support::format_double(batched_speedup, 1)});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_shrink",
       "M4: all-pairs Shrink, per-pair product BFS vs batched sweep",
       shrink_cmp);
@@ -419,7 +435,7 @@ int main() {
                           rdv::support::format_double(speedup, 1)});
     }
   }
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_refine",
       "M5: view refinement, naive fixpoint vs splitter worklist",
       refine_cmp);
@@ -503,7 +519,7 @@ int main() {
                        rdv::support::format_double(profile_overhead_pct, 2),
                        std::to_string(profile.events),
                        std::to_string(profile.dropped)});
-  rdv::analysis::emit_table(
+  emit_table(
       "micro_sweep_profile",
       "M6: task-lifecycle profiler overhead, off vs on", profile_cmp);
 

@@ -35,10 +35,4 @@ struct SweepSummary {
   std::uint64_t inconsistent = 0;
 };
 
-/// Verifies every ordered STIC with delays 0..max_delay, in parallel.
-[[nodiscard]] SweepSummary feasibility_sweep(const graph::Graph& g,
-                                             std::uint64_t max_delay,
-                                             const sim::AgentProgram& program,
-                                             const sim::RunConfig& config);
-
 }  // namespace rdv::analysis

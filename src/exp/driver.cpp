@@ -304,7 +304,6 @@ void register_metric_sources() {
         tier("view_classes", stats.view_classes);
         tier("quotients", stats.quotients);
         tier("uxs", stats.uxs);
-        tier("shrink", stats.shrink);
         tier("all_pairs_shrink", stats.all_pairs_shrink);
       });
   obs::Registry::instance().register_source(
@@ -314,8 +313,7 @@ void register_metric_sources() {
         // Zero series when no store is attached: the store tier always
         // appears in a snapshot, so baselines and assertions keep one
         // schema across cold, warm, and storeless runs.
-        for (std::size_t k = 0; k < store::kKindCount; ++k) {
-          const auto kind = static_cast<store::Kind>(k);
+        for (const store::Kind kind : store::kKinds) {
           const store::DiskStats s =
               disk != nullptr ? disk->stats(kind) : store::DiskStats{};
           const std::string p =
@@ -397,8 +395,7 @@ void print_run_stats() {
   std::fprintf(stderr, "rdv_bench: store dir=%s salt=%s\n",
                disk->config().root.c_str(),
                disk->config().build_salt.c_str());
-  for (std::size_t k = 0; k < store::kKindCount; ++k) {
-    const auto kind = static_cast<store::Kind>(k);
+  for (const store::Kind kind : store::kKinds) {
     const store::DiskStats s = disk->stats(kind);
     std::fprintf(stderr,
                  "rdv_bench: store[%s] hits=%llu misses=%llu corrupt=%llu "

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <stdexcept>
 #include <string_view>
 #include <unordered_map>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -53,122 +51,23 @@ void append_task_json(std::string& out, const TaskProfile& t) {
   out += '}';
 }
 
-// ---- parsing --------------------------------------------------------
-//
-// Same deliberately small strict-parser shape as metrics_tools.cpp:
-// one Cursor for the one JSON shape we emit, every error naming its
-// offset so a truncated or hand-edited sidecar is diagnosable.
-
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("profile json: " + what + " at offset " +
-                             std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-      ++pos;
-    }
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end of input");
-    return text[pos];
-  }
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos;
-  }
-  [[nodiscard]] bool try_consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char c = text[pos++];
-      if (c == '\\') {
-        if (pos >= text.size()) fail("dangling escape");
-        c = text[pos++];
-        if (c != '"' && c != '\\') fail("unsupported escape");
-      }
-      out += c;
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;
-    return out;
-  }
-  [[nodiscard]] std::uint64_t parse_uint() {
-    skip_ws();
-    if (pos >= text.size() ||
-        std::isdigit(static_cast<unsigned char>(text[pos])) == 0) {
-      fail("expected non-negative integer");
-    }
-    std::uint64_t value = 0;
-    while (pos < text.size() &&
-           std::isdigit(static_cast<unsigned char>(text[pos])) != 0) {
-      value = value * 10 + static_cast<std::uint64_t>(text[pos] - '0');
-      ++pos;
-    }
-    return value;
-  }
-  [[nodiscard]] bool parse_bool() {
-    skip_ws();
-    if (text.compare(pos, 4, "true") == 0) {
-      pos += 4;
-      return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-      pos += 5;
-      return false;
-    }
-    fail("expected boolean");
-  }
-};
-
-template <typename OnEntry>
-void parse_object(Cursor& cursor, const OnEntry& on_entry) {
-  cursor.expect('{');
-  if (cursor.try_consume('}')) return;
-  do {
-    std::string key = cursor.parse_string();
-    cursor.expect(':');
-    on_entry(std::move(key));
-  } while (cursor.try_consume(','));
-  cursor.expect('}');
+std::uint32_t parse_tid(JsonCursor& cursor) {
+  const std::uint64_t tid = cursor.parse_uint();
+  if (tid > UINT32_MAX) cursor.fail("thread id out of range");
+  return static_cast<std::uint32_t>(tid);
 }
 
-template <typename OnElement>
-void parse_array(Cursor& cursor, const OnElement& on_element) {
-  cursor.expect('[');
-  if (cursor.try_consume(']')) return;
-  do {
-    on_element();
-  } while (cursor.try_consume(','));
-  cursor.expect(']');
-}
-
-TaskProfile parse_task(Cursor& cursor) {
+TaskProfile parse_task(JsonCursor& cursor) {
   TaskProfile t;
-  parse_object(cursor, [&](std::string key) {
+  cursor.parse_object([&](std::string key) {
     if (key == "id") t.id = cursor.parse_uint();
     else if (key == "sweep") t.sweep = cursor.parse_uint();
     else if (key == "chunk") t.chunk = cursor.parse_uint();
     else if (key == "is_chunk") t.is_chunk = cursor.parse_bool();
     else if (key == "stolen") t.stolen = cursor.parse_bool();
     else if (key == "victim") t.steal_victim = cursor.parse_uint();
-    else if (key == "submit_tid")
-      t.submit_tid = static_cast<std::uint32_t>(cursor.parse_uint());
-    else if (key == "exec_tid")
-      t.exec_tid = static_cast<std::uint32_t>(cursor.parse_uint());
+    else if (key == "submit_tid") t.submit_tid = parse_tid(cursor);
+    else if (key == "exec_tid") t.exec_tid = parse_tid(cursor);
     else if (key == "submit") t.submit_t = cursor.parse_uint();
     else if (key == "dequeue") t.dequeue_t = cursor.parse_uint();
     else if (key == "begin") t.begin_t = cursor.parse_uint();
@@ -178,13 +77,12 @@ TaskProfile parse_task(Cursor& cursor) {
   return t;
 }
 
-MergeProfile parse_merge(Cursor& cursor) {
+MergeProfile parse_merge(JsonCursor& cursor) {
   MergeProfile m;
-  parse_object(cursor, [&](std::string key) {
+  cursor.parse_object([&](std::string key) {
     if (key == "sweep") m.sweep = cursor.parse_uint();
     else if (key == "chunk") m.chunk = cursor.parse_uint();
-    else if (key == "tid")
-      m.tid = static_cast<std::uint32_t>(cursor.parse_uint());
+    else if (key == "tid") m.tid = parse_tid(cursor);
     else if (key == "begin") m.begin_t = cursor.parse_uint();
     else if (key == "end") m.end_t = cursor.parse_uint();
     else cursor.fail("unknown merge field '" + key + "'");
@@ -192,11 +90,10 @@ MergeProfile parse_merge(Cursor& cursor) {
   return m;
 }
 
-ParkInterval parse_park(Cursor& cursor) {
+ParkInterval parse_park(JsonCursor& cursor) {
   ParkInterval p;
-  parse_object(cursor, [&](std::string key) {
-    if (key == "tid")
-      p.tid = static_cast<std::uint32_t>(cursor.parse_uint());
+  cursor.parse_object([&](std::string key) {
+    if (key == "tid") p.tid = parse_tid(cursor);
     else if (key == "begin") p.begin_t = cursor.parse_uint();
     else if (key == "end") p.end_t = cursor.parse_uint();
     else cursor.fail("unknown park field '" + key + "'");
@@ -204,14 +101,13 @@ ParkInterval parse_park(Cursor& cursor) {
   return p;
 }
 
-SweepProfile parse_sweep(Cursor& cursor) {
+SweepProfile parse_sweep(JsonCursor& cursor) {
   SweepProfile s;
-  parse_object(cursor, [&](std::string key) {
+  cursor.parse_object([&](std::string key) {
     if (key == "id") s.id = cursor.parse_uint();
     else if (key == "chunks") s.chunks = cursor.parse_uint();
     else if (key == "items") s.items = cursor.parse_uint();
-    else if (key == "tid")
-      s.tid = static_cast<std::uint32_t>(cursor.parse_uint());
+    else if (key == "tid") s.tid = parse_tid(cursor);
     else if (key == "begin") s.begin_t = cursor.parse_uint();
     else if (key == "end") s.end_t = cursor.parse_uint();
     else cursor.fail("unknown sweep field '" + key + "'");
@@ -261,7 +157,11 @@ void append_histogram_lines(std::string& out, const LatencyHistogram& hist) {
          std::to_string(hist.count) + " samples\n";
 }
 
-/// Per-thread busy/park aggregation shared by report and diff.
+/// Per-thread time accounting for the report. Busy and parked are
+/// unions of intervals, not sums: a worker waiting inside a task
+/// (TaskGroup::wait) executes nested tasks within the outer task's
+/// interval, and may park inside it. Parked time takes precedence over
+/// busy, so busy + parked + idle is exactly the profile's span.
 struct ThreadUsage {
   std::uint64_t busy_micros = 0;
   std::uint64_t park_micros = 0;
@@ -269,21 +169,53 @@ struct ThreadUsage {
   std::uint64_t merges = 0;
 };
 
+using Interval = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Total length of the union of half-open intervals.
+std::uint64_t union_micros(std::vector<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end());
+  std::uint64_t total = 0;
+  std::uint64_t covered_to = 0;
+  for (const auto& [begin, end] : intervals) {
+    const std::uint64_t from = std::max(begin, covered_to);
+    if (end > from) {
+      total += end - from;
+      covered_to = end;
+    }
+  }
+  return total;
+}
+
 std::map<std::uint32_t, ThreadUsage> thread_usage(const Profile& profile) {
   std::map<std::uint32_t, ThreadUsage> usage;
+  std::map<std::uint32_t, std::vector<Interval>> busy;
+  std::map<std::uint32_t, std::vector<Interval>> parked;
+  // Clipped to the span, so a hand-edited profile cannot push a
+  // thread past 100%.
+  const std::uint64_t lo = profile.t_min;
+  const std::uint64_t hi = std::max(profile.t_min, profile.t_max);
+  const auto clip = [lo, hi](std::uint64_t begin, std::uint64_t end) {
+    return Interval{std::clamp(begin, lo, hi), std::clamp(end, lo, hi)};
+  };
   for (const TaskProfile& t : profile.tasks) {
     if (t.begin_t == 0 || t.end_t == 0) continue;
-    ThreadUsage& u = usage[t.exec_tid];
-    u.busy_micros += t.exec_micros();
-    ++u.tasks;
+    ++usage[t.exec_tid].tasks;
+    busy[t.exec_tid].push_back(clip(t.begin_t, t.end_t));
   }
   for (const MergeProfile& m : profile.merges) {
-    ThreadUsage& u = usage[m.tid];
-    u.busy_micros += m.micros();
-    ++u.merges;
+    ++usage[m.tid].merges;
+    busy[m.tid].push_back(clip(m.begin_t, m.end_t));
   }
   for (const ParkInterval& p : profile.parks) {
-    usage[p.tid].park_micros += clamped_sub(p.end_t, p.begin_t);
+    (void)usage[p.tid];
+    parked[p.tid].push_back(clip(p.begin_t, p.end_t));
+  }
+  for (auto& [tid, u] : usage) {
+    std::vector<Interval>& park = parked[tid];
+    u.park_micros = union_micros(park);
+    std::vector<Interval>& either = busy[tid];
+    either.insert(either.end(), park.begin(), park.end());
+    u.busy_micros = union_micros(std::move(either)) - u.park_micros;
   }
   return usage;
 }
@@ -551,10 +483,10 @@ std::string render_profile_json(const Profile& profile) {
 
 bool parse_profile_json(const std::string& text, Profile* out) {
   try {
-    Cursor cursor{text};
+    JsonCursor cursor("profile json", text);
     Profile profile;
     bool saw_format = false;
-    parse_object(cursor, [&](std::string key) {
+    cursor.parse_object([&](std::string key) {
       if (key == "format") {
         saw_format = true;
         const std::uint64_t format = cursor.parse_uint();
@@ -570,19 +502,19 @@ bool parse_profile_json(const std::string& text, Profile* out) {
       } else if (key == "t_max") {
         profile.t_max = cursor.parse_uint();
       } else if (key == "tasks") {
-        parse_array(cursor, [&] {
+        cursor.parse_array([&] {
           profile.tasks.push_back(parse_task(cursor));
         });
       } else if (key == "merges") {
-        parse_array(cursor, [&] {
+        cursor.parse_array([&] {
           profile.merges.push_back(parse_merge(cursor));
         });
       } else if (key == "parks") {
-        parse_array(cursor, [&] {
+        cursor.parse_array([&] {
           profile.parks.push_back(parse_park(cursor));
         });
       } else if (key == "sweeps") {
-        parse_array(cursor, [&] {
+        cursor.parse_array([&] {
           profile.sweeps.push_back(parse_sweep(cursor));
         });
       } else {
@@ -590,8 +522,7 @@ bool parse_profile_json(const std::string& text, Profile* out) {
       }
     });
     if (!saw_format) cursor.fail("missing format field");
-    cursor.skip_ws();
-    if (cursor.pos != text.size()) cursor.fail("trailing garbage");
+    cursor.finish();
     *out = std::move(profile);
     return true;
   } catch (const std::exception& e) {
@@ -645,9 +576,7 @@ std::string render_profile_report(const Profile& profile) {
   out += "threads (" + std::to_string(usage.size()) + "):\n";
   for (const auto& [tid, u] : usage) {
     const double denom = span == 0 ? 1.0 : static_cast<double>(span);
-    const std::uint64_t accounted =
-        std::min(span, u.busy_micros + u.park_micros);
-    const std::uint64_t idle = span - accounted;
+    const std::uint64_t idle = span - u.busy_micros - u.park_micros;
     out += "  tid " + std::to_string(tid) + ": busy " +
            format_pct(static_cast<double>(u.busy_micros) / denom) +
            "% (" + format_ms(u.busy_micros) + " ms, " +
@@ -837,35 +766,14 @@ std::string render_task_trace_events(const Profile& profile) {
 
 bool write_profile(const std::string& path) {
   const Profile profile = build_profile(drain_task_events());
-  const std::string json = render_profile_json(profile);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write profile %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to profile %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return write_json_file(path, render_profile_json(profile), "profile");
 }
 
 bool write_chrome_trace_with_tasks(const std::string& path) {
   const Profile profile = build_profile(drain_task_events());
-  const std::string json =
-      render_chrome_trace(drain_trace(), render_task_trace_events(profile));
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write trace %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to trace %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return write_json_file(
+      path, render_chrome_trace(drain_trace(), render_task_trace_events(profile)),
+      "trace");
 }
 
 }  // namespace rdv::obs

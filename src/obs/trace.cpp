@@ -1,94 +1,15 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <memory>
-#include <mutex>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/task_events.hpp"
-#include "support/check.hpp"
+#include "obs/ring.hpp"
 
 namespace rdv::obs {
 
 namespace {
-
-std::atomic<bool> g_enabled{false};
-std::atomic<std::size_t> g_ring_capacity{16384};
-std::atomic<std::uint64_t> g_dropped{0};
-
-/// One thread's span ring. The mutex is private to the thread in
-/// steady state (only drain/clear contend), so record() is an
-/// uncontended lock + two stores — cheap, and TSan-clean.
-struct TraceRing {
-  support::RankedMutex mutex{support::LockRank::kObsRing};
-  std::vector<TraceEvent> slots;
-  /// Next write position; wraps. size_ saturates at capacity.
-  std::size_t head = 0;
-  std::size_t size = 0;
-  std::uint32_t tid = 0;
-
-  void record(const TraceEvent& event) {
-    std::lock_guard lock(mutex);
-    if (slots.empty()) return;  // capacity 0: drop everything
-    if (size == slots.size()) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++size;
-    }
-    slots[head] = event;
-    head = (head + 1) % slots.size();
-  }
-
-  /// Events oldest-first.
-  std::vector<TraceEvent> snapshot() {
-    std::lock_guard lock(mutex);
-    std::vector<TraceEvent> out;
-    out.reserve(size);
-    const std::size_t capacity = slots.size();
-    const std::size_t first = (head + capacity - size) % capacity;
-    for (std::size_t i = 0; i < size; ++i) {
-      out.push_back(slots[(first + i) % capacity]);
-    }
-    return out;
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex);
-    head = 0;
-    size = 0;
-  }
-};
-
-struct RingDirectory {
-  support::RankedMutex mutex{support::LockRank::kObsRing};
-  std::vector<std::shared_ptr<TraceRing>> rings;
-};
-
-RingDirectory& directory() {
-  static RingDirectory dir;
-  return dir;
-}
-
-/// The calling thread's ring, registered (and sized) on first use.
-/// shared_ptr keeps the ring alive for drains after the thread exits.
-/// The ring id is the shared obs thread id (task_events.hpp), so span
-/// rows and task-event flow rows line up in one Chrome timeline.
-TraceRing& thread_ring() {
-  thread_local const std::shared_ptr<TraceRing> ring = [] {
-    auto r = std::make_shared<TraceRing>();
-    r->slots.resize(g_ring_capacity.load(std::memory_order_relaxed));
-    r->tid = thread_obs_id();
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    dir.rings.push_back(r);
-    return r;
-  }();
-  return *ring;
-}
 
 void copy_name(char (&dst)[TraceEvent::kNameCapacity + 1],
                std::string_view name) {
@@ -97,61 +18,39 @@ void copy_name(char (&dst)[TraceEvent::kNameCapacity + 1],
   dst[n] = '\0';
 }
 
-/// Minimal JSON string escape for names/categories (ours are ASCII
-/// identifiers, but stay safe).
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 }  // namespace
 
-bool trace_enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed);
+RingSet<TraceEvent>& span_rings() noexcept {
+  static RingSet<TraceEvent> rings(16384);
+  return rings;
 }
 
+bool trace_enabled() noexcept { return span_rings().enabled(); }
+
 void set_trace_enabled(bool enabled) noexcept {
-  g_enabled.store(enabled, std::memory_order_relaxed);
+  span_rings().set_enabled(enabled);
 }
 
 void set_trace_ring_capacity(std::size_t events) noexcept {
-  g_ring_capacity.store(events, std::memory_order_relaxed);
+  span_rings().set_capacity(events);
 }
 
 std::uint64_t trace_dropped_count() noexcept {
-  return g_dropped.load(std::memory_order_relaxed);
+  return span_rings().dropped();
 }
 
 void record_span(std::string_view name, const char* category,
                  std::uint64_t start_micros, std::uint64_t dur_micros,
                  const char* arg_key, std::uint64_t arg_value) {
   if (!trace_enabled()) return;
-  TraceRing& ring = thread_ring();
   TraceEvent event;
   copy_name(event.name, name);
   event.category = category;
   event.start_micros = start_micros;
   event.dur_micros = dur_micros;
-  event.tid = ring.tid;
   event.arg_key = arg_key;
   event.arg_value = arg_value;
-  ring.record(event);
+  span_rings().record(event);
 }
 
 Span::Span(const char* category, std::string_view name) noexcept
@@ -168,17 +67,7 @@ Span::~Span() {
 }
 
 std::vector<TraceEvent> drain_trace() {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
-  std::vector<TraceEvent> events;
-  for (const auto& ring : rings) {
-    std::vector<TraceEvent> part = ring->snapshot();
-    events.insert(events.end(), part.begin(), part.end());
-  }
+  std::vector<TraceEvent> events = span_rings().snapshot();
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.start_micros != b.start_micros
@@ -188,16 +77,7 @@ std::vector<TraceEvent> drain_trace() {
   return events;
 }
 
-void clear_trace() {
-  std::vector<std::shared_ptr<TraceRing>> rings;
-  {
-    RingDirectory& dir = directory();
-    std::lock_guard lock(dir.mutex);
-    rings = dir.rings;
-  }
-  for (const auto& ring : rings) ring->clear();
-  g_dropped.store(0, std::memory_order_relaxed);
-}
+void clear_trace() { span_rings().clear(); }
 
 std::string render_chrome_trace(const std::vector<TraceEvent>& events,
                                 const std::string& extra_events) {
@@ -234,18 +114,7 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events,
 }
 
 bool write_chrome_trace(const std::string& path) {
-  const std::string json = render_chrome_trace(drain_trace());
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write trace %s\n", path.c_str());
-    return false;
-  }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to trace %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return write_json_file(path, render_chrome_trace(drain_trace()), "trace");
 }
 
 }  // namespace rdv::obs

@@ -141,22 +141,26 @@ class Decoder {
 [[nodiscard]] std::uint64_t checksum(std::string_view bytes) noexcept;
 
 /// The artifact kinds the store persists; each gets its own
-/// subdirectory and its own stats counters.
+/// subdirectory and its own stats counters. Values are stable and
+/// never reused: 3 belonged to the retired per-pair Shrink tier.
 enum class Kind {
   kViewClasses = 0,
   kQuotients = 1,
   kUxs = 2,
-  kShrink = 3,
   kShrinkAllPairs = 4,
 };
-inline constexpr std::size_t kKindCount = 5;
+/// Every kind, in value order.
+inline constexpr Kind kKinds[] = {Kind::kViewClasses, Kind::kQuotients,
+                                  Kind::kUxs, Kind::kShrinkAllPairs};
+/// Size of tables indexed by kind value (one past the largest value).
+inline constexpr std::size_t kKindSlots = 5;
 
 /// Stable directory / stats name ("view_classes", "quotients", "uxs",
-/// "shrink", "shrink_all_pairs").
+/// "shrink_all_pairs").
 [[nodiscard]] const char* kind_name(Kind kind) noexcept;
 
 /// Artifact serializers: deterministic byte renderings of the four
-/// cached artifact kinds. decode_* throws CodecError on any malformed
+/// persisted artifact kinds. decode_* throws CodecError on any malformed
 /// input and rejects trailing bytes.
 [[nodiscard]] std::string encode_uxs(const uxs::Uxs& y);
 [[nodiscard]] uxs::Uxs decode_uxs(std::string_view bytes);
@@ -166,9 +170,6 @@ inline constexpr std::size_t kKindCount = 5;
 
 [[nodiscard]] std::string encode_quotient(const views::QuotientGraph& q);
 [[nodiscard]] views::QuotientGraph decode_quotient(std::string_view bytes);
-
-[[nodiscard]] std::string encode_shrink(const views::ShrinkResult& r);
-[[nodiscard]] views::ShrinkResult decode_shrink(std::string_view bytes);
 
 [[nodiscard]] std::string encode_all_pairs_shrink(
     const views::AllPairsShrink& a);

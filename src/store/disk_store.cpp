@@ -23,7 +23,7 @@ namespace {
 constexpr char kMagic[4] = {'R', 'D', 'V', 'S'};
 
 std::size_t kind_index(Kind kind) noexcept {
-  RDV_CHECK_MSG(static_cast<std::size_t>(kind) < kKindCount,
+  RDV_CHECK_MSG(static_cast<std::size_t>(kind) < kKindSlots,
                 "artifact kind out of range");
   return static_cast<std::size_t>(kind);
 }
@@ -106,9 +106,8 @@ DiskStore::DiskStore(DiskConfig config) : config_(std::move(config)) {
   // load to a miss and every save to a counted failure, it never
   // throws out of experiment setup.
   std::error_code ec;
-  for (std::size_t k = 0; k < kKindCount; ++k) {
-    fs::create_directories(
-        fs::path(config_.root) / kind_name(static_cast<Kind>(k)), ec);
+  for (const Kind kind : kKinds) {
+    fs::create_directories(fs::path(config_.root) / kind_name(kind), ec);
   }
 }
 
@@ -222,8 +221,8 @@ DiskStats DiskStore::stats(Kind kind) const {
 
 DiskStats DiskStore::total_stats() const {
   DiskStats total;
-  for (std::size_t k = 0; k < kKindCount; ++k) {
-    const DiskStats s = stats(static_cast<Kind>(k));
+  for (const Kind kind : kKinds) {
+    const DiskStats s = stats(kind);
     static_cast<obs::TierStats&>(total) += s;
     total.corrupt += s.corrupt;
     total.version_mismatch += s.version_mismatch;

@@ -113,7 +113,7 @@ class DiskStore {
   };
 
   DiskConfig config_;
-  AtomicStats stats_[kKindCount];
+  AtomicStats stats_[kKindSlots];
   std::atomic<std::uint64_t> temp_seq_{0};
 };
 

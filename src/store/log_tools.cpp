@@ -3,25 +3,16 @@
 #include <algorithm>
 #include <sstream>
 
+#include "obs/json.hpp"
 #include "support/table.hpp"
 
 namespace rdv::store {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
+std::string json_string(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
+  obs::append_json_string(out, s);
   return out;
 }
 
@@ -55,8 +46,8 @@ std::string render_log_json(const std::vector<ResultRecord>& records,
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ResultRecord& r = records[i];
     if (i != 0) out << ",";
-    out << "\n  {\"experiment_id\": \"" << json_escape(r.experiment_id)
-        << "\", \"scale\": \"" << json_escape(r.scale) << "\"";
+    out << "\n  {\"experiment_id\": " << json_string(r.experiment_id)
+        << ", \"scale\": " << json_string(r.scale);
     if (include_wall) out << ", \"wall_micros\": " << r.wall_micros;
     out << ", \"items_total\": " << r.items_total
         << ", \"items_produced\": " << r.items_produced

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::support {
@@ -68,34 +69,11 @@ std::string Table::to_csv() const {
 
 namespace {
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_json_row(std::string& out, const std::vector<std::string>& cells) {
   out += '[';
   for (std::size_t c = 0; c < cells.size(); ++c) {
     if (c != 0) out += ", ";
-    append_json_string(out, cells[c]);
+    obs::append_json_string(out, cells[c]);
   }
   out += ']';
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/metrics.hpp"
+#include "obs/ring.hpp"
 #include "obs/task_events.hpp"
 #include "obs/trace.hpp"
 
@@ -36,6 +37,17 @@ PoolMetrics& pool_metrics() {
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  // Every static a worker can reach finishes constructing before the
+  // first worker starts. Function-local statics are destroyed in the
+  // reverse order of construction, so one first built after
+  // default_pool() would be destroyed before it, and a worker woken by
+  // ~ThreadPool would write into freed memory (pool.wakeups into a
+  // dead metrics registry, events into dead rings). The constructing
+  // thread also takes its obs id before its workers take theirs.
+  (void)pool_metrics();
+  (void)obs::thread_obs_id();
+  (void)obs::span_rings();
+  (void)obs::task_rings();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -305,25 +317,6 @@ std::uint64_t TaskGroup::submit(std::function<void()> task) {
 
 void TaskGroup::wait() {
   pool_.assist_until([this] { return pending() == 0; }, tag());
-}
-
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t chunks =
-      std::min(total, std::max<std::size_t>(1, pool.thread_count() * 4));
-  const std::size_t chunk = (total + chunks - 1) / chunks;
-  TaskGroup group(pool);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    group.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  group.wait();
 }
 
 ThreadPool& default_pool() {

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -10,6 +11,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
+#include <regex>
+#include <utility>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -17,6 +22,7 @@
 #include <vector>
 
 #include "exp/driver.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_tools.hpp"
 #include "obs/profile.hpp"
@@ -177,6 +183,22 @@ TEST(Trace, RingOverflowDropsOldestAndNeverBlocks) {
   EXPECT_EQ(trace_dropped_count(), 0u);
 }
 
+TEST(Trace, ZeroCapacityRingCountsEveryRecordAsDropped) {
+  clear_trace();
+  set_trace_ring_capacity(0);
+  set_trace_enabled(true);
+  std::thread([] {
+    for (int i = 0; i < 5; ++i) record_span("zero", "obs_test_zero", 1, 1);
+  }).join();
+  set_trace_enabled(false);
+  set_trace_ring_capacity(16384);
+  for (const TraceEvent& e : drain_trace()) {
+    EXPECT_STRNE(e.category, "obs_test_zero");
+  }
+  EXPECT_EQ(trace_dropped_count(), 5u);
+  clear_trace();
+}
+
 TEST(Trace, LongNamesTruncateSafely) {
   clear_trace();
   set_trace_enabled(true);
@@ -272,6 +294,25 @@ TEST(TaskEvents, TinyRingOverflowCountsDropsAndKeepsNewest) {
   clear_task_events();
   EXPECT_EQ(task_events_dropped_count(), 0u);
   EXPECT_EQ(task_events_recorded_count(), 0u);
+}
+
+TEST(TaskEvents, ZeroCapacityRingCountsEveryRecordAsDropped) {
+  clear_task_events();
+  set_task_event_ring_capacity(0);
+  set_task_events_enabled(true);
+  std::thread([] {
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      record_task_event(TaskEventKind::kBegin, 9100 + i);
+    }
+  }).join();
+  set_task_events_enabled(false);
+  set_task_event_ring_capacity(65536);
+  for (const TaskEvent& e : drain_task_events()) {
+    EXPECT_FALSE(e.task >= 9100 && e.task < 9105) << e.task;
+  }
+  EXPECT_EQ(task_events_dropped_count(), 5u);
+  EXPECT_EQ(task_events_recorded_count(), 0u);
+  clear_task_events();
 }
 
 TEST(TaskEvents, DrainIsDeterministicAndPreservesPerThreadOrder) {
@@ -726,6 +767,60 @@ TEST(Profile, ReportTopDiffAndTraceRendersCarryTheHeadlines) {
   EXPECT_NE(trace.find(fragment), std::string::npos);
 }
 
+/// Parses the report's per-thread line into {busy, parked, idle} %.
+std::map<std::uint32_t, std::array<double, 3>> report_utilization(
+    const std::string& report) {
+  static const std::regex kLine(
+      R"(tid (\d+): busy ([0-9.]+)% \(.*\), parked ([0-9.]+)%, idle ([0-9.]+)%)");
+  std::map<std::uint32_t, std::array<double, 3>> out;
+  for (std::sregex_iterator it(report.begin(), report.end(), kLine), end;
+       it != end; ++it) {
+    out[static_cast<std::uint32_t>(std::stoul((*it)[1]))] = {
+        std::stod((*it)[2]), std::stod((*it)[3]), std::stod((*it)[4])};
+  }
+  return out;
+}
+
+TEST(Profile, NestedExecutionIsNotDoubleCountedInUtilization) {
+  // Thread 1 runs task 21 over [1000, 1900] and, assisting inside it,
+  // the nested task 22 over [1100, 1500]; it also parks inside task 21
+  // over [1600, 1700]. Summing durations would report busy 130%.
+  // Thread 0 parks over [1000, 1900] and merges over [1950, 2000].
+  Profile profile;
+  profile.t_min = 1000;
+  profile.t_max = 2000;
+  TaskProfile outer;
+  outer.id = 21;
+  outer.exec_tid = 1;
+  outer.submit_t = 1000;
+  outer.begin_t = 1000;
+  outer.end_t = 1900;
+  TaskProfile nested = outer;
+  nested.id = 22;
+  nested.submit_t = 1050;
+  nested.begin_t = 1100;
+  nested.end_t = 1500;
+  profile.tasks = {outer, nested};
+  MergeProfile merge;
+  merge.sweep = 1;
+  merge.tid = 0;
+  merge.begin_t = 1950;
+  merge.end_t = 2000;
+  profile.merges = {merge};
+  profile.parks = {ParkInterval{0, 1000, 1900}, ParkInterval{1, 1600, 1700}};
+
+  const auto usage = report_utilization(render_profile_report(profile));
+  ASSERT_EQ(usage.size(), 2u);
+  const std::array<double, 3> expected_tid0 = {5.0, 90.0, 5.0};
+  const std::array<double, 3> expected_tid1 = {80.0, 10.0, 10.0};
+  EXPECT_EQ(usage.at(0), expected_tid0);
+  EXPECT_EQ(usage.at(1), expected_tid1);
+  for (const auto& [tid, pct] : usage) {
+    EXPECT_LE(pct[0], 100.0) << tid;
+    EXPECT_NEAR(pct[0] + pct[1] + pct[2], 100.0, 0.15) << tid;
+  }
+}
+
 // ---- snapshot JSON + the gate ----------------------------------------
 
 MetricsSnapshot sample_snapshot() {
@@ -764,6 +859,163 @@ TEST(MetricsJson, ParserIsStrict) {
   EXPECT_THROW((void)parse_metrics_json(good.substr(0, good.size() - 2)),
                std::runtime_error);
   EXPECT_THROW((void)parse_metrics_json(good + "x"), std::runtime_error);
+}
+
+// ---- the shared JSON reader and writer -------------------------------
+
+TEST(Json, StringWriterPinsEscapesAndRoundTripsEveryByte) {
+  std::string out;
+  append_json_string(out, std::string("q\"b\\s\n\r\t\x01\x1f\x7f", 11));
+  EXPECT_EQ(out, "\"q\\\"b\\\\s\\n\\r\\t\\u0001\\u001f\x7f\"");
+  std::string every_byte;
+  for (int c = 0; c < 256; ++c) every_byte += static_cast<char>(c);
+  std::string quoted;
+  append_json_string(quoted, every_byte);
+  JsonCursor cursor("test json", quoted);
+  EXPECT_EQ(cursor.parse_string(), every_byte);
+  cursor.finish();
+}
+
+TEST(Json, IntegersOutOfRangeAreOffsetErrorsNeverWrapped) {
+  struct Case {
+    const char* text;
+    bool is_signed;
+    bool ok;
+    std::int64_t value;  // checked when ok (unsigned cases cast)
+  };
+  const Case cases[] = {
+      {"18446744073709551615", false, true, -1},
+      {"18446744073709551616", false, false, 0},
+      {"99999999999999999999", false, false, 0},
+      {"123456789012345678901234567890", false, false, 0},
+      {"-1", false, false, 0},
+      {"9223372036854775807", true, true, INT64_MAX},
+      {"9223372036854775808", true, false, 0},
+      {"-9223372036854775808", true, true, INT64_MIN},
+      {"-9223372036854775809", true, false, 0},
+      {"-123456789012345678901234567890", true, false, 0},
+      {"-0", true, true, 0},
+      {"007", true, false, 0},
+      {"-", true, false, 0},
+  };
+  for (const Case& c : cases) {
+    JsonCursor cursor("test json", c.text);
+    try {
+      const std::int64_t value =
+          c.is_signed ? cursor.parse_int()
+                      : static_cast<std::int64_t>(cursor.parse_uint());
+      cursor.finish();
+      EXPECT_TRUE(c.ok) << c.text << " parsed as " << value;
+      EXPECT_EQ(value, c.value) << c.text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(c.ok) << c.text << ": " << e.what();
+      EXPECT_NE(std::string(e.what()).find("test json: "), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find(" at offset "), std::string::npos);
+    }
+  }
+}
+
+/// [begin, end) of every integer token of a JSON text outside string
+/// literals (a leading '-' included).
+std::vector<std::pair<std::size_t, std::size_t>> integer_spans(
+    std::string_view text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t i = 0;
+  while (i < text.size()) {
+    if (text[i] == '"') {
+      for (++i; i < text.size() && text[i] != '"'; ++i) {
+        if (text[i] == '\\') ++i;
+      }
+      ++i;
+    } else if (text[i] == '-' || (text[i] >= '0' && text[i] <= '9')) {
+      std::size_t j = i + 1;
+      while (j < text.size() && text[j] >= '0' && text[j] <= '9') ++j;
+      spans.emplace_back(i, j);
+      i = j;
+    } else {
+      ++i;
+    }
+  }
+  return spans;
+}
+
+/// The integer tokens, sorted, with "-0" read as "0": what a strict
+/// parse must carry over exactly.
+std::vector<std::string> integer_tokens(std::string_view text) {
+  std::vector<std::string> tokens;
+  for (const auto& [begin, end] : integer_spans(text)) {
+    const std::string token(text.substr(begin, end - begin));
+    tokens.push_back(token == "-0" ? "0" : token);
+  }
+  std::sort(tokens.begin(), tokens.end());
+  return tokens;
+}
+
+/// Parses `text` as a metrics snapshot (is_profile false) or a profile
+/// and re-renders it; nullopt on a strict parse error.
+std::optional<std::string> reparse(bool is_profile, const std::string& text) {
+  if (is_profile) {
+    Profile profile;
+    if (!parse_profile_json(text, &profile)) return std::nullopt;
+    return render_profile_json(profile);
+  }
+  try {
+    return render_metrics_json(parse_metrics_json(text));
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+TEST(Json, MutatedSidecarsParseStrictlyOrExactly) {
+  MetricsSnapshot snap = sample_snapshot();
+  snap.counters["max.counter"] = UINT64_MAX;
+  snap.gauges["min.gauge"] = INT64_MIN;
+  snap.gauges["max.gauge"] = INT64_MAX;
+  Profile profile = sample_profile();
+  profile.parks.push_back(ParkInterval{UINT32_MAX, 1300, 1400});
+  profile.tasks[1].steal_victim = UINT64_MAX;
+  const std::string docs[] = {render_metrics_json(snap),
+                              render_profile_json(profile)};
+  const char kFlips[] = {'0', '9', '-', '"', '\\', ' ', '{', '}', ',', '\0'};
+
+  for (const bool is_profile : {false, true}) {
+    const std::string& doc = docs[is_profile ? 1 : 0];
+    ASSERT_EQ(reparse(is_profile, doc), doc);
+    // A valid parse must carry every integer over exactly: a wrapped or
+    // truncated value changes the token multiset of the re-rendering.
+    const auto check = [&](const std::string& mutated, const char* what,
+                           std::size_t at) {
+      const std::optional<std::string> rendered = reparse(is_profile, mutated);
+      if (!rendered) return;
+      EXPECT_EQ(integer_tokens(*rendered), integer_tokens(mutated))
+          << what << " at " << at << (is_profile ? " (profile)" : " (metrics)");
+    };
+    for (std::size_t at = 0; at < doc.size(); ++at) {
+      EXPECT_FALSE(reparse(is_profile, doc.substr(0, at)).has_value())
+          << "truncation at " << at;
+      for (const char flip : kFlips) {
+        if (doc[at] == flip) continue;
+        std::string mutated = doc;
+        mutated[at] = flip;
+        check(mutated, "flip", at);
+      }
+      std::string mutated = doc;
+      mutated[at] = static_cast<char>(mutated[at] ^ 0x01);
+      check(mutated, "bit flip", at);
+    }
+    // Every integer widened to 30 digits, or pushed one past 2^64, is
+    // out of range wherever it sits.
+    for (auto [begin, end] : integer_spans(doc)) {
+      if (doc[begin] == '-') ++begin;
+      for (const char* wide :
+           {"123456789012345678901234567890", "18446744073709551616"}) {
+        std::string mutated = doc;
+        mutated.replace(begin, end - begin, wide);
+        EXPECT_FALSE(reparse(is_profile, mutated).has_value())
+            << wide << " at " << begin;
+      }
+    }
+  }
 }
 
 TEST(Diff, PassesWithinBandFailsBeyond) {

@@ -1,7 +1,7 @@
 // ISSUE 8: the worklist refinement engine must be byte-identical to the
 // naive oracle on class_of/class_count (the canonical contract) on
 // every family, deterministic across thread counts and cache modes, and
-// exercised through the batched entry point. `rounds` is an
+// exercised through the cache's batched entry point. `rounds` is an
 // engine-specific diagnostic and is deliberately NOT compared between
 // engines.
 #include <gtest/gtest.h>
@@ -145,18 +145,19 @@ TEST(WorklistRefinement, CodecRoundTripsWorklistOutput) {
   }
 }
 
-TEST(WorklistRefinement, BatchMatchesSerialComputation) {
+TEST(WorklistRefinement, CacheBatchMatchesSerialComputation) {
   const std::vector<Graph> graphs = family_corpus();
   std::vector<const Graph*> ptrs;
   for (const Graph& g : graphs) ptrs.push_back(&g);
-  const std::vector<ViewClasses> batched = view_classes_batch(ptrs);
+  cache::ArtifactCache cache;
+  const auto batched = cache.view_classes_batch(ptrs);
   ASSERT_EQ(batched.size(), graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const ViewClasses direct = compute_view_classes_worklist(graphs[i]);
-    EXPECT_EQ(batched[i].class_of, direct.class_of) << graphs[i].name();
-    EXPECT_EQ(batched[i].class_count, direct.class_count);
+    EXPECT_EQ(batched[i]->class_of, direct.class_of) << graphs[i].name();
+    EXPECT_EQ(batched[i]->class_count, direct.class_count);
     // Same engine on both paths, so even the diagnostic agrees.
-    EXPECT_EQ(batched[i].rounds, direct.rounds);
+    EXPECT_EQ(batched[i]->rounds, direct.rounds);
   }
 }
 
@@ -173,18 +174,15 @@ TEST(WorklistRefinement, DeterministicAcrossThreadCountsAndCacheModes) {
   }
   for (const std::size_t threads : {1u, 4u, 16u}) {
     support::ThreadPool pool(threads);
-    ViewClassesBatchOptions options;
-    options.pool = &pool;
-    const std::vector<ViewClasses> batched = view_classes_batch(ptrs, options);
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      EXPECT_EQ(store::encode_view_classes(batched[i]), baseline[i])
-          << graphs[i].name() << " at " << threads << " threads";
-    }
     for (const bool enabled : {true, false}) {
       cache::CacheConfig config;
       config.enabled = enabled;
       cache::ArtifactCache cache(config);
+      const auto batched = cache.view_classes_batch(ptrs, &pool);
       for (std::size_t i = 0; i < graphs.size(); ++i) {
+        EXPECT_EQ(store::encode_view_classes(*batched[i]), baseline[i])
+            << graphs[i].name() << " at " << threads
+            << " threads, cache enabled=" << enabled;
         EXPECT_EQ(store::encode_view_classes(*cache.view_classes(graphs[i])),
                   baseline[i])
             << graphs[i].name() << " cache enabled=" << enabled;

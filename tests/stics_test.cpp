@@ -4,6 +4,7 @@
 #include "analysis/stics.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
+#include "sweep/sweep.hpp"
 
 namespace rdv::analysis {
 namespace {
@@ -47,7 +48,7 @@ TEST(FeasibilitySweep, TwoNodeGraphMatchesCharacterization) {
   options.max_phases = 60;
   sim::RunConfig config;
   config.max_rounds = 1u << 22;
-  const SweepSummary summary = feasibility_sweep(
+  const SweepSummary summary = sweep::feasibility_sweep(
       g, 2, core::universal_rv_program(options), config);
   EXPECT_EQ(summary.checks.size(), 6u);
   EXPECT_EQ(summary.feasible, 4u);    // delays 1,2 in both orders
@@ -62,7 +63,7 @@ TEST(FeasibilitySweep, Path3MatchesCharacterization) {
   options.max_phases = 120;
   sim::RunConfig config;
   config.max_rounds = 1u << 23;
-  const SweepSummary summary = feasibility_sweep(
+  const SweepSummary summary = sweep::feasibility_sweep(
       g, 1, core::universal_rv_program(options), config);
   EXPECT_EQ(summary.infeasible, 0u);
   EXPECT_EQ(summary.inconsistent, 0u);

@@ -98,21 +98,6 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool ran = false;
-  parallel_for(pool, 5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
 TEST(TaskGroup, RunsAllTasksAndWaits) {
   ThreadPool pool(3);
   TaskGroup group(pool);
@@ -241,22 +226,65 @@ TEST(TaskGroup, OversubscribedNestedGroupsStress) {
   EXPECT_EQ(outer.pending(), 0u);
 }
 
-// parallel_for from inside a pool task is the nested shape
-// exp::run_experiment now relies on (outer cases fan out, inner sweeps
-// fan out on the same pool).
-TEST(TaskGroup, NestedParallelForInsidePoolTask) {
+// A TaskGroup waited on from inside a pool task is the nested shape
+// exp::run_experiment relies on (outer cases fan out, inner sweeps fan
+// out on the same pool): the waiting worker runs the inner tasks.
+TEST(TaskGroup, NestedGroupInsidePoolTaskCoversRangeExactlyOnce) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(64);
   TaskGroup outer(pool);
   for (int o = 0; o < 4; ++o) {
     outer.submit([&pool, &hits, o] {
-      parallel_for(pool, 0, 16, [&hits, o](std::size_t i) {
-        hits[static_cast<std::size_t>(o) * 16 + i].fetch_add(1);
-      });
+      TaskGroup inner(pool);
+      for (std::size_t i = 0; i < 16; ++i) {
+        inner.submit([&hits, o, i] {
+          hits[static_cast<std::size_t>(o) * 16 + i].fetch_add(1);
+        });
+      }
+      inner.wait();
     });
   }
   outer.wait();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Exit-time teardown. Statics are destroyed in reverse order of
+// construction, so everything a pool worker touches while the pool
+// shuts down must be built before the pool. In these tests a static
+// pool is the first thing the process builds; it runs one task, and
+// the process exits once every worker is parked, so ~ThreadPool wakes
+// them during static destruction. Before the pool resolved its obs
+// statics in its constructor, the woken workers bumped pool.wakeups in
+// an already destroyed metrics registry (a heap-use-after-free under
+// ASan). The threadsafe death-test style re-executes the binary, so
+// no earlier test in this suite has built those statics already.
+[[noreturn]] void exit_with_workers_parked(ThreadPool& pool) {
+  TaskGroup group(pool);
+  group.submit([] {});
+  group.wait();
+  while (pool.park_count() - pool.wakeup_count() < pool.thread_count()) {
+    std::this_thread::yield();
+  }
+  std::exit(0);
+}
+
+TEST(ThreadPoolDeathTest, DefaultPoolBuiltFirstExitsCleanly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(exit_with_workers_parked(default_pool()),
+              ::testing::ExitedWithCode(0), "");
+}
+
+// One worker is far more likely than four to start only after the
+// constructor has returned, so this shape hits the old fault on almost
+// every run.
+TEST(ThreadPoolDeathTest, OneWorkerStaticPoolBuiltFirstExitsCleanly) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        static ThreadPool pool(1);
+        exit_with_workers_parked(pool);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // Work stealing: tasks submitted from one worker land on its own

@@ -357,7 +357,7 @@ TEST(SticSweep, ToTableSkipsRecordsWithoutCells) {
   EXPECT_NE(table.to_csv().find("a\nc"), std::string::npos);
 }
 
-TEST(SticSweep, FeasibilitySweepMatchesAnalysisLayer) {
+TEST(SticSweep, FeasibilitySweepMatchesSerialVerification) {
   const graph::Graph g = families::oriented_ring(3);
   core::UniversalOptions options;
   options.max_phases = 120;
@@ -365,21 +365,28 @@ TEST(SticSweep, FeasibilitySweepMatchesAnalysisLayer) {
   sim::RunConfig config;
   config.max_rounds = 1u << 23;
 
-  const analysis::SweepSummary via_sweep =
+  const analysis::SweepSummary summary =
       feasibility_sweep(g, 2, program, config);
-  const analysis::SweepSummary via_analysis =
-      analysis::feasibility_sweep(g, 2, program, config);
 
-  EXPECT_EQ(via_sweep.feasible, via_analysis.feasible);
-  EXPECT_EQ(via_sweep.infeasible, via_analysis.infeasible);
-  EXPECT_EQ(via_sweep.inconsistent, 0u);
-  EXPECT_EQ(via_analysis.inconsistent, 0u);
-  ASSERT_EQ(via_sweep.checks.size(), via_analysis.checks.size());
-  for (std::size_t i = 0; i < via_sweep.checks.size(); ++i) {
-    EXPECT_EQ(via_sweep.checks[i].cls.stic, via_analysis.checks[i].cls.stic);
-    EXPECT_EQ(via_sweep.checks[i].run.met, via_analysis.checks[i].run.met);
-    EXPECT_TRUE(via_sweep.checks[i].consistent);
+  // Oracle: verify_stic over the enumeration, one STIC at a time.
+  const views::ViewClasses classes = views::compute_view_classes(g);
+  const std::vector<analysis::Stic> stics = analysis::enumerate_stics(g, 2);
+  ASSERT_EQ(summary.checks.size(), stics.size());
+  std::uint64_t feasible = 0;
+  for (std::size_t i = 0; i < stics.size(); ++i) {
+    const analysis::SticCheck serial =
+        analysis::verify_stic(g, classes, stics[i], program, config);
+    if (serial.cls.feasible) ++feasible;
+    EXPECT_EQ(summary.checks[i].cls.stic, stics[i]);
+    EXPECT_EQ(summary.checks[i].cls.feasible, serial.cls.feasible);
+    EXPECT_EQ(summary.checks[i].run.met, serial.run.met);
+    EXPECT_EQ(summary.checks[i].run.meet_from_later_start,
+              serial.run.meet_from_later_start);
+    EXPECT_TRUE(summary.checks[i].consistent);
   }
+  EXPECT_EQ(summary.feasible, feasible);
+  EXPECT_EQ(summary.infeasible, stics.size() - feasible);
+  EXPECT_EQ(summary.inconsistent, 0u);
 }
 
 TEST(SticSweep, FeasibilitySweepDeterministicAcrossThreadCounts) {
