@@ -1,6 +1,5 @@
 #include "cache/artifact_cache.hpp"
 
-#include <algorithm>
 #include <string>
 
 #include "store/codec.hpp"
@@ -100,36 +99,6 @@ std::shared_ptr<const views::ViewClasses> ArtifactCache::view_classes(
             [&g] { return views::compute_view_classes(g); });
       },
       view_classes_bytes);
-}
-
-std::vector<std::shared_ptr<const views::ViewClasses>>
-ArtifactCache::view_classes_batch(
-    std::span<const graph::Graph* const> graphs,
-    support::ThreadPool* pool) {
-  std::vector<std::shared_ptr<const views::ViewClasses>> out(graphs.size());
-  if (graphs.empty()) return out;
-  support::ThreadPool& p =
-      pool != nullptr ? *pool : support::default_pool();
-  // Small chunks load-balance censuses mixing tiny and n>=1024 graphs
-  // while still amortizing task dispatch.
-  constexpr std::size_t kChunk = 4;
-  if (graphs.size() <= kChunk || p.thread_count() <= 1) {
-    for (std::size_t i = 0; i < graphs.size(); ++i) {
-      out[i] = view_classes(*graphs[i]);
-    }
-    return out;
-  }
-  support::TaskGroup group(p);
-  for (std::size_t begin = 0; begin < graphs.size(); begin += kChunk) {
-    const std::size_t end = std::min(begin + kChunk, graphs.size());
-    group.submit([this, &graphs, &out, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = view_classes(*graphs[i]);
-      }
-    });
-  }
-  group.wait();
-  return out;
 }
 
 std::shared_ptr<const views::QuotientGraph> ArtifactCache::quotient(

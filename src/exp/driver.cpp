@@ -42,7 +42,7 @@ options:
   --census         census scale (full + big random-graph STIC censuses;
                    default comes from REPRO_CENSUS)
   --threads N      run on a dedicated pool of N threads
-  --chunk N        chunk size for the experiments' inner sweeps
+  --chunk N        inner-sweep chunk size (default: ~4 chunks per thread)
   --csv-dir DIR    write <dir>/<id>.csv   (default: REPRO_CSV_DIR)
   --json-dir DIR   write <dir>/<id>.json  (default: REPRO_JSON_DIR)
   --json           also print each table as JSON to stdout

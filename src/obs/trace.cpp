@@ -41,7 +41,8 @@ std::uint64_t trace_dropped_count() noexcept {
 
 void record_span(std::string_view name, const char* category,
                  std::uint64_t start_micros, std::uint64_t dur_micros,
-                 const char* arg_key, std::uint64_t arg_value) {
+                 const char* arg_key, std::uint64_t arg_value,
+                 const char* arg2_key, std::uint64_t arg2_value) {
   if (!trace_enabled()) return;
   TraceEvent event;
   copy_name(event.name, name);
@@ -50,6 +51,8 @@ void record_span(std::string_view name, const char* category,
   event.dur_micros = dur_micros;
   event.arg_key = arg_key;
   event.arg_value = arg_value;
+  event.arg2_key = arg2_key;
+  event.arg2_value = arg2_value;
   span_rings().record(event);
 }
 
@@ -63,7 +66,8 @@ Span::Span(const char* category, std::string_view name) noexcept
 Span::~Span() {
   if (!active_) return;
   record_span(name_, category_, start_micros_,
-              now_micros() - start_micros_, arg_key_, arg_value_);
+              now_micros() - start_micros_, arg_key_, arg_value_, arg2_key_,
+              arg2_value_);
 }
 
 std::vector<TraceEvent> drain_trace() {
@@ -101,6 +105,12 @@ std::string render_chrome_trace(const std::vector<TraceEvent>& events,
       append_json_string(out, e.arg_key);
       out += ':';
       out += std::to_string(e.arg_value);
+      if (e.arg2_key != nullptr) {
+        out += ',';
+        append_json_string(out, e.arg2_key);
+        out += ':';
+        out += std::to_string(e.arg2_value);
+      }
       out += '}';
     }
     out += '}';

@@ -19,8 +19,8 @@
 ///    allocates (events are fixed-size, names are copied into an
 ///    inline buffer, so dynamically built names are safe).
 ///  - Spans are recorded ON COMPLETION as Chrome "X" (complete)
-///    events: begin timestamp + duration, category, optional one
-///    integer arg. A span still open when the trace is drained (e.g.
+///    events: begin timestamp + duration, category, up to two
+///    integer args. A span still open when the trace is drained (e.g.
 ///    a parked worker) simply isn't in the file.
 ///  - Rings are registered globally on first use and outlive their
 ///    threads; drain_trace() snapshots every ring (under its ring
@@ -43,9 +43,11 @@ struct TraceEvent {
   std::uint64_t dur_micros = 0;
   /// Stable per-thread trace id (registration order, 0-based).
   std::uint32_t tid = 0;
-  /// Optional single integer argument (nullptr key = none).
+  /// Up to two optional integer arguments (nullptr key = none).
   const char* arg_key = nullptr;
   std::uint64_t arg_value = 0;
+  const char* arg2_key = nullptr;
+  std::uint64_t arg2_value = 0;
 };
 
 /// Global on/off switch (reads are one relaxed atomic load).
@@ -60,7 +62,8 @@ void set_trace_ring_capacity(std::size_t events) noexcept;
 /// oldest event when full). No-op when tracing is disabled.
 void record_span(std::string_view name, const char* category,
                  std::uint64_t start_micros, std::uint64_t dur_micros,
-                 const char* arg_key = nullptr, std::uint64_t arg_value = 0);
+                 const char* arg_key = nullptr, std::uint64_t arg_value = 0,
+                 const char* arg2_key = nullptr, std::uint64_t arg2_value = 0);
 
 /// RAII span: stamps the start on construction, records on
 /// destruction. When tracing is disabled at construction it records
@@ -72,10 +75,16 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches the single integer argument (last call wins).
+  /// Attaches an integer argument: the first key takes the first slot,
+  /// any other key the second (last call wins per slot).
   void arg(const char* key, std::uint64_t value) noexcept {
-    arg_key_ = key;
-    arg_value_ = value;
+    if (arg_key_ == nullptr || arg_key_ == key) {
+      arg_key_ = key;
+      arg_value_ = value;
+    } else {
+      arg2_key_ = key;
+      arg2_value_ = value;
+    }
   }
 
  private:
@@ -84,6 +93,8 @@ class Span {
   char name_[TraceEvent::kNameCapacity + 1];
   const char* arg_key_ = nullptr;
   std::uint64_t arg_value_ = 0;
+  const char* arg2_key_ = nullptr;
+  std::uint64_t arg2_value_ = 0;
   std::uint64_t start_micros_ = 0;
 };
 

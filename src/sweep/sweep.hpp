@@ -39,9 +39,13 @@
 namespace rdv::sweep {
 
 struct SweepConfig {
-  /// Items per chunk; 0 falls back to the default. Small chunks load-
-  /// balance better, large chunks amortize scheduling.
-  std::size_t chunk_size = 64;
+  /// Items per chunk; 0 (the default) sizes chunks from the work:
+  /// ceil(n / (4 x pool threads)), at least 1, so a sweep splits into
+  /// about four chunks per thread. Small chunks load-balance better
+  /// (a few slow items cannot serialize a short sweep on one worker),
+  /// large chunks amortize scheduling; a nonzero value overrides the
+  /// rule.
+  std::size_t chunk_size = 0;
   /// Pool to run on; nullptr uses support::default_pool(). The runner
   /// tracks its own chunks with a support::TaskGroup, so independent
   /// sweeps may share one pool without waiting on each other; kernels
@@ -58,6 +62,9 @@ struct SweepConfig {
 
 struct SweepStats {
   std::size_t items_total = 0;
+  /// Effective items per chunk (the auto-sized value when
+  /// SweepConfig::chunk_size is 0).
+  std::size_t chunk_size = 0;
   std::size_t chunks_total = 0;
   /// Chunks actually handed to the pool. Scheduling-dependent (wave
   /// width scales with the pool); everything else in a sweep result is
@@ -71,8 +78,12 @@ struct SweepStats {
 };
 
 namespace detail {
-inline std::size_t effective_chunk_size(const SweepConfig& config) {
-  return config.chunk_size == 0 ? 64 : config.chunk_size;
+inline std::size_t effective_chunk_size(const SweepConfig& config,
+                                        std::size_t n,
+                                        std::size_t threads) {
+  if (config.chunk_size != 0) return config.chunk_size;
+  const std::size_t target_chunks = 4 * threads;  // a pool has >= 1
+  return std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
 }
 inline support::ThreadPool& effective_pool(const SweepConfig& config) {
   return config.pool != nullptr ? *config.pool : support::default_pool();
@@ -108,12 +119,14 @@ std::vector<R> sweep_map(std::size_t n,
                          const SweepConfig& config = {},
                          const std::function<bool(const R&)>& stop_when = {},
                          SweepStats* stats = nullptr) {
-  const std::size_t chunk_size = detail::effective_chunk_size(config);
   support::ThreadPool& pool = detail::effective_pool(config);
+  const std::size_t chunk_size =
+      detail::effective_chunk_size(config, n, pool.thread_count());
   const std::size_t chunks =
       n == 0 ? 0 : (n + chunk_size - 1) / chunk_size;
   obs::Span sweep_span("sweep", "map");
   sweep_span.arg("items", n);
+  sweep_span.arg("chunk", chunk_size);
   // Profiler markers (ISSUE 9): the sweep id joins this sweep's chunk
   // tasks and merges into one DAG the analyzer can walk. All profiling
   // is sidecar-only — ids are allocated only when enabled, so the off
@@ -127,6 +140,7 @@ std::vector<R> sweep_map(std::size_t n,
 
   SweepStats local;
   local.items_total = n;
+  local.chunk_size = chunk_size;
   local.chunks_total = chunks;
 
   // Without an early-exit predicate the whole index space is scheduled

@@ -234,6 +234,37 @@ TEST(Trace, ChromeRenderEscapesAndShapes) {
   EXPECT_NE(json.find("\"args\":{\"items\":42}"), std::string::npos);
 }
 
+TEST(Trace, SweepMapSpanCarriesItemsAndEffectiveChunk) {
+  clear_trace();
+  set_trace_enabled(true);
+  {
+    support::ThreadPool pool(4);
+    sweep::SweepConfig config;
+    config.pool = &pool;
+    const std::function<int(std::size_t)> id = [](std::size_t i) {
+      return static_cast<int>(i);
+    };
+    (void)sweep::sweep_map<int>(36, id, config);  // auto: 3 per chunk
+  }
+  set_trace_enabled(false);
+  std::vector<TraceEvent> maps;
+  for (const TraceEvent& e : drain_trace()) {
+    if (std::string_view(e.category) == "sweep" &&
+        std::string_view(e.name) == "map") {
+      maps.push_back(e);
+    }
+  }
+  clear_trace();
+  ASSERT_EQ(maps.size(), 1u);
+  EXPECT_STREQ(maps[0].arg_key, "items");
+  EXPECT_EQ(maps[0].arg_value, 36u);
+  EXPECT_STREQ(maps[0].arg2_key, "chunk");
+  EXPECT_EQ(maps[0].arg2_value, 3u);
+  EXPECT_NE(render_chrome_trace(maps).find("\"args\":{\"items\":36,"
+                                           "\"chunk\":3}"),
+            std::string::npos);
+}
+
 // ---- task-lifecycle events -------------------------------------------
 
 TEST(TaskEvents, DisabledRecordsNothingAndAllocatorsStayMonotone) {

@@ -1,7 +1,7 @@
 // ISSUE 8: the worklist refinement engine must be byte-identical to the
 // naive oracle on class_of/class_count (the canonical contract) on
 // every family, deterministic across thread counts and cache modes, and
-// exercised through the cache's batched entry point. `rounds` is an
+// exercised through the cache fanned out by the sweep runner. `rounds` is an
 // engine-specific diagnostic and is deliberately NOT compared between
 // engines.
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "graph/families/families.hpp"
 #include "store/codec.hpp"
 #include "support/thread_pool.hpp"
+#include "sweep/sweep.hpp"
 #include "views/refinement.hpp"
 #include "views/refinement_worklist.hpp"
 
@@ -145,26 +146,35 @@ TEST(WorklistRefinement, CodecRoundTripsWorklistOutput) {
   }
 }
 
-TEST(WorklistRefinement, CacheBatchMatchesSerialComputation) {
+/// View classes of every graph through `cache`, fanned out by the
+/// sweep runner: the census path (one cached lookup per graph, results
+/// merged in input order).
+std::vector<std::shared_ptr<const ViewClasses>> sweep_view_classes(
+    const std::vector<Graph>& graphs, cache::ArtifactCache& cache,
+    support::ThreadPool* pool = nullptr) {
+  sweep::SweepConfig config;
+  config.pool = pool;
+  return sweep::sweep_map<std::shared_ptr<const ViewClasses>>(
+      graphs.size(),
+      [&](std::size_t i) { return cache.view_classes(graphs[i]); }, config);
+}
+
+TEST(WorklistRefinement, CacheSweepMatchesSerialComputation) {
   const std::vector<Graph> graphs = family_corpus();
-  std::vector<const Graph*> ptrs;
-  for (const Graph& g : graphs) ptrs.push_back(&g);
   cache::ArtifactCache cache;
-  const auto batched = cache.view_classes_batch(ptrs);
-  ASSERT_EQ(batched.size(), graphs.size());
+  const auto swept = sweep_view_classes(graphs, cache);
+  ASSERT_EQ(swept.size(), graphs.size());
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     const ViewClasses direct = compute_view_classes_worklist(graphs[i]);
-    EXPECT_EQ(batched[i]->class_of, direct.class_of) << graphs[i].name();
-    EXPECT_EQ(batched[i]->class_count, direct.class_count);
+    EXPECT_EQ(swept[i]->class_of, direct.class_of) << graphs[i].name();
+    EXPECT_EQ(swept[i]->class_count, direct.class_count);
     // Same engine on both paths, so even the diagnostic agrees.
-    EXPECT_EQ(batched[i]->rounds, direct.rounds);
+    EXPECT_EQ(swept[i]->rounds, direct.rounds);
   }
 }
 
-TEST(WorklistRefinement, DeterministicAcrossThreadCountsAndCacheModes) {
+TEST(WorklistRefinement, CacheSweepDeterministicAcrossThreadsAndCacheModes) {
   const std::vector<Graph> graphs = family_corpus();
-  std::vector<const Graph*> ptrs;
-  for (const Graph& g : graphs) ptrs.push_back(&g);
   // Baseline: serial worklist, encoded through the codec so the
   // comparison covers every byte (ids, count, diagnostic).
   std::vector<std::string> baseline;
@@ -178,9 +188,10 @@ TEST(WorklistRefinement, DeterministicAcrossThreadCountsAndCacheModes) {
       cache::CacheConfig config;
       config.enabled = enabled;
       cache::ArtifactCache cache(config);
-      const auto batched = cache.view_classes_batch(ptrs, &pool);
+      const auto swept = sweep_view_classes(graphs, cache, &pool);
+      ASSERT_EQ(swept.size(), graphs.size());
       for (std::size_t i = 0; i < graphs.size(); ++i) {
-        EXPECT_EQ(store::encode_view_classes(*batched[i]), baseline[i])
+        EXPECT_EQ(store::encode_view_classes(*swept[i]), baseline[i])
             << graphs[i].name() << " at " << threads
             << " threads, cache enabled=" << enabled;
         EXPECT_EQ(store::encode_view_classes(*cache.view_classes(graphs[i])),

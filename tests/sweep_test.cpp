@@ -86,6 +86,34 @@ TEST(SweepMap, ChunkSizeZeroFallsBackToDefault) {
   const std::vector<int> out = sweep_map<int>(5, id, config);
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[4], 4);
+  EXPECT_EQ(SweepConfig{}.chunk_size, 0u) << "auto sizing is the default";
+
+  // The default sizes chunks from the work: ceil(n / (4 x threads))
+  // items, at least 1 -- about four chunks per thread.
+  struct Case {
+    std::size_t n;
+    std::size_t threads;
+    std::size_t chunks;
+    std::size_t chunk_size;
+  };
+  support::ThreadPool one(1);
+  support::ThreadPool four(4);
+  for (const Case c : {Case{36, 4, 12, 3}, Case{5, 4, 5, 1},
+                       Case{1000, 4, 16, 63}, Case{36, 1, 4, 9},
+                       Case{0, 4, 0, 1}}) {
+    config.pool = c.threads == 1 ? &one : &four;
+    SweepStats stats;
+    const std::vector<int> got = sweep_map<int>(c.n, id, config, {}, &stats);
+    ASSERT_EQ(got.size(), c.n);
+    for (std::size_t i = 0; i < c.n; ++i) {
+      EXPECT_EQ(got[i], static_cast<int>(i));
+    }
+    EXPECT_EQ(stats.chunks_total, c.chunks)
+        << "n=" << c.n << " threads=" << c.threads;
+    EXPECT_EQ(stats.chunk_size, c.chunk_size)
+        << "n=" << c.n << " threads=" << c.threads;
+    EXPECT_EQ(stats.items_produced, c.n);
+  }
 }
 
 TEST(SweepMap, ChunkSizeOne) {
@@ -389,32 +417,58 @@ TEST(SticSweep, FeasibilitySweepMatchesSerialVerification) {
   EXPECT_EQ(summary.inconsistent, 0u);
 }
 
+/// Every field of a check, so two summaries compare byte for byte.
+std::string render_check(const analysis::SticCheck& c) {
+  std::string out;
+  for (const std::uint64_t x :
+       {std::uint64_t{c.cls.stic.u}, std::uint64_t{c.cls.stic.v},
+        c.cls.stic.delay, std::uint64_t{c.cls.symmetric},
+        std::uint64_t{c.cls.shrink}, std::uint64_t{c.cls.feasible},
+        std::uint64_t{c.run.met}, c.run.meet_round_absolute,
+        c.run.meet_from_later_start, c.run.rounds_simulated,
+        c.run.edge_crossings, c.run.moves[0], c.run.moves[1],
+        std::uint64_t{c.run.final_pos[0]}, std::uint64_t{c.run.final_pos[1]},
+        std::uint64_t{c.run.programs_finished}, std::uint64_t{c.consistent}}) {
+    out += std::to_string(x);
+    out += ',';
+  }
+  return out + c.run.error;
+}
+
+// 1/4/16 threads x chunk sizes {auto, 1, 64}: every field of every
+// check must match, on graphs with feasible and cap-bound infeasible
+// STICs alike.
 TEST(SticSweep, FeasibilitySweepDeterministicAcrossThreadCounts) {
-  const graph::Graph g = families::path_graph(3);
   core::UniversalOptions options;
-  options.max_phases = 120;
+  options.max_phases = 40;
   const sim::AgentProgram program = core::universal_rv_program(options);
   sim::RunConfig config;
-  config.max_rounds = 1u << 23;
-
-  support::ThreadPool one(1);
-  SweepConfig sweep_one;
-  sweep_one.pool = &one;
-  support::ThreadPool many(4);
-  SweepConfig sweep_many;
-  sweep_many.pool = &many;
-
-  const analysis::SweepSummary r1 =
-      feasibility_sweep(g, 1, program, config, sweep_one);
-  const analysis::SweepSummary rn =
-      feasibility_sweep(g, 1, program, config, sweep_many);
-  ASSERT_EQ(r1.checks.size(), rn.checks.size());
-  for (std::size_t i = 0; i < r1.checks.size(); ++i) {
-    EXPECT_EQ(r1.checks[i].cls.stic, rn.checks[i].cls.stic);
-    EXPECT_EQ(r1.checks[i].cls.feasible, rn.checks[i].cls.feasible);
-    EXPECT_EQ(r1.checks[i].run.met, rn.checks[i].run.met);
-    EXPECT_EQ(r1.checks[i].run.meet_from_later_start,
-              rn.checks[i].run.meet_from_later_start);
+  config.max_rounds = 1u << 16;
+  for (const graph::Graph& g :
+       {families::two_node_graph(), families::path_graph(3),
+        families::oriented_ring(3)}) {
+    std::vector<std::string> baseline;
+    for (const std::size_t threads : {1u, 4u, 16u}) {
+      support::ThreadPool pool(threads);
+      for (const std::size_t chunk : {0u, 1u, 64u}) {
+        SweepConfig sweep_config;
+        sweep_config.pool = &pool;
+        sweep_config.chunk_size = chunk;
+        const analysis::SweepSummary summary =
+            feasibility_sweep(g, 1, program, config, sweep_config);
+        EXPECT_EQ(summary.inconsistent, 0u) << g.name();
+        std::vector<std::string> rendered;
+        for (const analysis::SticCheck& check : summary.checks) {
+          rendered.push_back(render_check(check));
+        }
+        if (baseline.empty()) {
+          ASSERT_EQ(rendered.size(), analysis::enumerate_stics(g, 1).size());
+          baseline = rendered;
+        }
+        EXPECT_EQ(rendered, baseline)
+            << g.name() << " threads=" << threads << " chunk=" << chunk;
+      }
+    }
   }
 }
 
