@@ -1,6 +1,6 @@
 // M2 — sweep-runner micro-benchmark: the same STIC feasibility kernel
-// executed through sweep::run_stic_sweep on a 1-thread pool
-// (sequential baseline) and on the default pool.
+// executed through sweep::sweep_map on a 1-thread pool (sequential
+// baseline) and on the default pool.
 //
 // M3 — artifact-cache micro-benchmark: a repeated-graph classification
 // sweep (per-case ViewClasses + quotient resolution over a small set of
@@ -24,15 +24,14 @@
 // reconstructed critical path must account for the sweep wall within
 // 5% — the "observability must not perturb what it observes" bar.
 //
-// Emits one BENCH_sweep.json datapoint (into REPRO_CSV_DIR when set,
-// else the working directory) covering all comparisons for trend
-// tracking.
+// Every comparison prints as a markdown table (and, when REPRO_CSV_DIR
+// is set, also lands in `<dir>/<table id>.csv`). A failed cross-check
+// or gate exits 1.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "cache/artifact_cache.hpp"
@@ -40,7 +39,6 @@
 #include "obs/task_events.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
@@ -107,10 +105,14 @@ int main() {
   rdv::sim::RunConfig run_config;
   run_config.max_rounds = 1u << 18;
 
-  const rdv::sweep::SticKernel kernel = [&](const Stic& stic) {
-    const auto check =
-        rdv::analysis::verify_stic(g, classes, stic, program, run_config);
-    return rdv::sweep::SticRecord{stic, check.cls, check.run, {}};
+  const std::function<rdv::analysis::SticCheck(std::size_t)> kernel =
+      [&](std::size_t i) {
+        return rdv::analysis::verify_stic(g, classes, stics[i], program,
+                                          run_config);
+      };
+  const auto run_sweep = [&](const rdv::sweep::SweepConfig& config) {
+    (void)rdv::sweep::sweep_map<rdv::analysis::SticCheck>(stics.size(),
+                                                          kernel, config);
   };
 
   const int repeats = 3;
@@ -118,31 +120,30 @@ int main() {
   rdv::sweep::SweepConfig seq_config;
   seq_config.pool = &sequential;
   seq_config.chunk_size = 16;
-  const double seq_ms = best_of_ms(repeats, [&] {
-    (void)rdv::sweep::run_stic_sweep(stics, kernel, seq_config);
-  });
+  const double seq_ms = best_of_ms(repeats, [&] { run_sweep(seq_config); });
 
   rdv::sweep::SweepConfig pool_config;
   pool_config.chunk_size = 16;
-  const double pool_ms = best_of_ms(repeats, [&] {
-    (void)rdv::sweep::run_stic_sweep(stics, kernel, pool_config);
-  });
+  const double pool_ms = best_of_ms(repeats, [&] { run_sweep(pool_config); });
   const std::size_t pool_threads =
       rdv::support::default_pool().thread_count();
 
-  rdv::support::Table table(
-      {"config", "threads", "STICs", "best ms", "STICs/s"});
+  rdv::support::Table table({"config", "graph", "threads", "STICs", "chunk",
+                             "best ms", "STICs/s", "speedup"});
   const auto rate = [](double ms, std::size_t items) {
     return rdv::support::format_double(
         ms > 0 ? 1000.0 * static_cast<double>(items) / ms : 0, 1);
   };
-  table.add_row({"sequential", "1", std::to_string(stics.size()),
-                 rdv::support::format_double(seq_ms, 3),
-                 rate(seq_ms, stics.size())});
-  table.add_row({"pooled", std::to_string(pool_threads),
-                 std::to_string(stics.size()),
+  const std::string chunk = std::to_string(pool_config.chunk_size);
+  table.add_row({"sequential", g.name(), "1", std::to_string(stics.size()),
+                 chunk, rdv::support::format_double(seq_ms, 3),
+                 rate(seq_ms, stics.size()), "1.0"});
+  table.add_row({"pooled", g.name(), std::to_string(pool_threads),
+                 std::to_string(stics.size()), chunk,
                  rdv::support::format_double(pool_ms, 3),
-                 rate(pool_ms, stics.size())});
+                 rate(pool_ms, stics.size()),
+                 rdv::support::format_double(
+                     pool_ms > 0 ? seq_ms / pool_ms : 0, 2)});
   emit_table(
       "micro_sweep", "M2: sweep runner, sequential vs pooled", table);
 
@@ -151,19 +152,10 @@ int main() {
   // past the core count: oversubscription must degrade gracefully, not
   // collapse), plus a nested variant — an outer sweep whose kernel
   // runs an inner sweep on the SAME pool, the t1/t2 shape that the
-  // work-assisting wait unlocked. One JSON datapoint per thread count,
-  // carrying the scheduler counters (steals, parks, wakeups) the pool
+  // work-assisting wait unlocked. One row per thread count, carrying
+  // the scheduler counters (steals, parks, wakeups) the pool
   // accumulated across both sweeps — the park/wakeup ratio is how a
   // trend reader spots thundering-herd regressions at high counts.
-  struct ScalePoint {
-    std::size_t threads;
-    double flat_ms;
-    double nested_ms;
-    std::uint64_t steals;
-    std::uint64_t parks;
-    std::uint64_t wakeups;
-  };
-  std::vector<ScalePoint> scaling;
   rdv::support::Table scale_table({"threads", "flat best ms",
                                    "flat STICs/s", "nested best ms",
                                    "steals", "parks", "wakeups"});
@@ -172,9 +164,7 @@ int main() {
     rdv::sweep::SweepConfig config;
     config.pool = &pool;
     config.chunk_size = 16;
-    const double flat_ms = best_of_ms(repeats, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, config);
-    });
+    const double flat_ms = best_of_ms(repeats, [&] { run_sweep(config); });
     // Nested: outer cases fan out on the pool AND each runs a chunked
     // inner sweep on it (blocking, work-assisting).
     rdv::sweep::SweepConfig outer_config = config;
@@ -200,9 +190,6 @@ int main() {
       (void)rdv::sweep::sweep_map<std::uint64_t>(outer_cases, outer_case,
                                                  outer_config);
     });
-    scaling.push_back(ScalePoint{threads, flat_ms, nested_ms,
-                                 pool.steal_count(), pool.park_count(),
-                                 pool.wakeup_count()});
     scale_table.add_row({std::to_string(threads),
                          rdv::support::format_double(flat_ms, 3),
                          rate(flat_ms, stics.size()),
@@ -307,18 +294,23 @@ int main() {
     return 1;
   }
 
-  rdv::support::Table cache_cmp(
-      {"config", "cases", "graphs", "best ms", "cases/s", "hits", "misses"});
+  rdv::support::Table cache_cmp({"config", "cases", "graphs", "best ms",
+                                 "cases/s", "speedup", "hits", "misses",
+                                 "bytes"});
   cache_cmp.add_row({"uncached", std::to_string(cases.size()),
                      std::to_string(cache_graphs.size()),
                      rdv::support::format_double(uncached_ms, 3),
-                     rate(uncached_ms, cases.size()), "-", "-"});
+                     rate(uncached_ms, cases.size()), "1.0", "-", "-",
+                     "-"});
   cache_cmp.add_row({"cached", std::to_string(cases.size()),
                      std::to_string(cache_graphs.size()),
                      rdv::support::format_double(cached_ms, 3),
                      rate(cached_ms, cases.size()),
+                     rdv::support::format_double(
+                         cached_ms > 0 ? uncached_ms / cached_ms : 0, 1),
                      std::to_string(cache_stats.total_hits()),
-                     std::to_string(cache_stats.total_misses())});
+                     std::to_string(cache_stats.total_misses()),
+                     std::to_string(cache_stats.total_bytes())});
   emit_table(
       "micro_sweep_cache",
       "M3: repeated-graph artifact sweep, uncached vs cached", cache_cmp);
@@ -363,10 +355,12 @@ int main() {
   const std::uint64_t shrink_pairs =
       static_cast<std::uint64_t>(sn) * (sn - 1);
   rdv::support::Table shrink_cmp(
-      {"kernel", "ordered pairs", "best ms", "speedup"});
-  shrink_cmp.add_row({"per-pair product BFS", std::to_string(shrink_pairs),
+      {"kernel", "n", "ordered pairs", "best ms", "speedup"});
+  shrink_cmp.add_row({"per-pair product BFS", std::to_string(sn),
+                      std::to_string(shrink_pairs),
                       rdv::support::format_double(per_pair_ms, 3), "1.0"});
-  shrink_cmp.add_row({"batched all-pairs", std::to_string(shrink_pairs),
+  shrink_cmp.add_row({"batched all-pairs", std::to_string(sn),
+                      std::to_string(shrink_pairs),
                       rdv::support::format_double(batched_ms, 3),
                       rdv::support::format_double(batched_speedup, 1)});
   emit_table(
@@ -383,20 +377,9 @@ int main() {
   // "path" rows are the naive engine's worst case — refinement peels
   // one distance-to-end layer per round, Theta(n) rounds, the O(n^2 m)
   // bound realized — where the worklist's O(m log n) shows up as the
-  // acceptance-bar speedup (refine_speedup_1024 below is the path row).
+  // acceptance-bar speedup (the path row at n = 1024).
   // The naive side is timed once (it is the engine being retired); the
   // worklist side gets the usual best-of repeats.
-  struct RefinePoint {
-    const char* family;
-    std::uint32_t n;
-    std::uint64_t edges;
-    std::uint32_t classes;
-    double naive_ms;
-    double worklist_ms;
-    double speedup;
-  };
-  std::vector<RefinePoint> refine_points;
-  double refine_speedup_1024 = 0;
   rdv::support::Table refine_cmp({"family", "n", "edges", "classes",
                                   "naive ms", "worklist ms", "speedup"});
   for (const char* family : {"random", "path"}) {
@@ -423,10 +406,6 @@ int main() {
         return 1;
       }
       const double speedup = worklist_ms > 0 ? naive_ms / worklist_ms : 0;
-      if (is_path && rn == 1024) refine_speedup_1024 = speedup;
-      refine_points.push_back(RefinePoint{family, rn, rg.edge_count(),
-                                          worklist.class_count, naive_ms,
-                                          worklist_ms, speedup});
       refine_cmp.add_row({family, std::to_string(rn),
                           std::to_string(rg.edge_count()),
                           std::to_string(worklist.class_count),
@@ -454,15 +433,11 @@ int main() {
   double profile_on_ms = 0;
   for (int i = 0; i < profile_repeats; ++i) {
     rdv::obs::set_task_events_enabled(false);
-    const double off = best_of_ms(1, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
-    });
+    const double off = best_of_ms(1, [&] { run_sweep(profile_config); });
     if (i == 0 || off < profile_off_ms) profile_off_ms = off;
     rdv::obs::set_task_events_enabled(true);
     rdv::obs::clear_task_events();
-    const double on = best_of_ms(1, [&] {
-      (void)rdv::sweep::run_stic_sweep(stics, kernel, profile_config);
-    });
+    const double on = best_of_ms(1, [&] { run_sweep(profile_config); });
     if (i == 0 || on < profile_on_ms) profile_on_ms = on;
   }
   rdv::obs::set_task_events_enabled(false);
@@ -522,67 +497,5 @@ int main() {
   emit_table(
       "micro_sweep_profile",
       "M6: task-lifecycle profiler overhead, off vs on", profile_cmp);
-
-  // Through support/env like every other binary (the invariant
-  // linter's first catch was a naked getenv here).
-  const std::string dir = rdv::support::repro_csv_dir();
-  const std::string json_path =
-      (dir.empty() ? std::string() : dir + "/") + "BENCH_sweep.json";
-  std::ostringstream json;
-  json << "{\"bench\":\"micro_sweep\",\"graph\":\"" << g.name()
-       << "\",\"items\":" << stics.size()
-       << ",\"chunk_size\":" << pool_config.chunk_size
-       << ",\"seq_ms\":" << seq_ms << ",\"pool_ms\":" << pool_ms
-       << ",\"pool_threads\":" << pool_threads << ",\"speedup\":"
-       << (pool_ms > 0 ? seq_ms / pool_ms : 0)
-       << ",\"cache_items\":" << cases.size()
-       << ",\"cache_graphs\":" << cache_graphs.size()
-       << ",\"uncached_ms\":" << uncached_ms
-       << ",\"cached_ms\":" << cached_ms << ",\"cache_speedup\":"
-       << (cached_ms > 0 ? uncached_ms / cached_ms : 0)
-       << ",\"cache_hits\":" << cache_stats.total_hits()
-       << ",\"cache_misses\":" << cache_stats.total_misses()
-       << ",\"cache_bytes\":" << cache_stats.total_bytes()
-       << ",\"shrink_n\":" << sn
-       << ",\"shrink_pairs\":" << shrink_pairs
-       << ",\"per_pair_ms\":" << per_pair_ms
-       << ",\"batched_ms\":" << batched_ms
-       << ",\"batched_speedup\":" << batched_speedup
-       << ",\"refine_speedup_1024\":" << refine_speedup_1024
-       << ",\"profile_off_ms\":" << profile_off_ms
-       << ",\"profile_on_ms\":" << profile_on_ms
-       << ",\"profile_overhead_pct\":" << profile_overhead_pct
-       << ",\"profile_events\":" << profile.events
-       << ",\"profile_dropped\":" << profile.dropped
-       << ",\"refine\":[";
-  for (std::size_t i = 0; i < refine_points.size(); ++i) {
-    if (i != 0) json << ",";
-    json << "{\"family\":\"" << refine_points[i].family
-         << "\",\"n\":" << refine_points[i].n
-         << ",\"edges\":" << refine_points[i].edges
-         << ",\"classes\":" << refine_points[i].classes
-         << ",\"naive_ms\":" << refine_points[i].naive_ms
-         << ",\"worklist_ms\":" << refine_points[i].worklist_ms
-         << ",\"speedup\":" << refine_points[i].speedup << "}";
-  }
-  json << "],\"scaling\":[";
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    if (i != 0) json << ",";
-    json << "{\"threads\":" << scaling[i].threads
-         << ",\"flat_ms\":" << scaling[i].flat_ms
-         << ",\"nested_ms\":" << scaling[i].nested_ms
-         << ",\"steals\":" << scaling[i].steals
-         << ",\"parks\":" << scaling[i].parks
-         << ",\"wakeups\":" << scaling[i].wakeups << "}";
-  }
-  json << "]}";
-  // JSON-lines update: other benches' datapoints (rdv_bench's
-  // per-experiment timings) sharing this file are preserved.
-  if (!rdv::support::update_bench_json(json_path, "micro_sweep",
-                                       json.str())) {
-    std::fprintf(stderr, "error: cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
   return 0;
 }

@@ -65,9 +65,4 @@ Proc explore(Mailbox& mb, std::uint32_t d, std::uint64_t delta,
   }
 }
 
-Proc explore_full(Mailbox& mb, std::uint32_t d, std::uint64_t delta) {
-  bool completed = false;
-  co_await explore(mb, d, delta, kNoDeadline, 0, &completed);
-}
-
 }  // namespace rdv::core

@@ -31,8 +31,4 @@ inline constexpr std::uint64_t kNoDeadline = support::kRoundInfinity;
                                 std::uint64_t end_clock,
                                 std::uint64_t reserve, bool* completed);
 
-/// Convenience: unbudgeted Explore.
-[[nodiscard]] sim::Proc explore_full(sim::Mailbox& mb, std::uint32_t d,
-                                     std::uint64_t delta);
-
 }  // namespace rdv::core

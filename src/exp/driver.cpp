@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,7 +15,6 @@
 #include "obs/task_events.hpp"
 #include "obs/trace.hpp"
 #include "store/result_log.hpp"
-#include "support/bench_json.hpp"
 #include "support/env.hpp"
 #include "support/thread_pool.hpp"
 #include "uxs/corpus.hpp"
@@ -67,10 +65,10 @@ options:
 
 Value-taking options accept both `--opt VALUE` and `--opt=VALUE`.
 
-After a run, per-experiment wall-clock timings are folded into
-BENCH_sweep.json in the CSV dir (or the working directory) and store /
-UXS-verification statistics are printed to stderr. Metrics and traces
-are sidecar-only: stdout bytes are identical with and without them.
+After a run, store / UXS-verification statistics are printed to
+stderr; per-experiment wall-clock timings go to the --metrics-out
+snapshot (exp.<id>.wall_micros). Metrics and traces are sidecar-only:
+stdout bytes are identical with and without them.
 )";
 
 struct Args {
@@ -244,42 +242,6 @@ void print_list(const std::vector<const Experiment*>& selected) {
   }
   std::printf("%zu experiments registered\n%s", selected.size(),
               table.to_markdown().c_str());
-}
-
-/// One BENCH_sweep.json datapoint per executed experiment — the
-/// per-scenario trend-tracking companion to micro_sweep's substrate
-/// datapoint (the "bench" field tells the two apart).
-struct Timing {
-  std::string id;
-  std::uint64_t wall_micros = 0;
-  std::size_t cases = 0;
-  std::size_t rows = 0;
-};
-
-void write_bench_json(const std::string& csv_dir, Scale scale,
-                      std::size_t threads,
-                      const std::vector<Timing>& timings) {
-  const std::string path =
-      (csv_dir.empty() ? std::string() : csv_dir + "/") + "BENCH_sweep.json";
-  std::ostringstream json;
-  json << "{\"bench\":\"rdv_bench\",\"scale\":\"" << scale_name(scale)
-       << "\",\"threads\":" << threads << ",\"experiments\":[";
-  for (std::size_t i = 0; i < timings.size(); ++i) {
-    const Timing& t = timings[i];
-    if (i != 0) json << ",";
-    json << "{\"id\":\"" << t.id << "\",\"wall_ms\":"
-         << static_cast<double>(t.wall_micros) / 1000.0
-         << ",\"cases\":" << t.cases << ",\"rows\":" << t.rows << "}";
-  }
-  json << "]}";
-  // JSON-lines update: replaces only the rdv_bench line, preserving
-  // e.g. micro_sweep's substrate datapoint in a shared CSV dir.
-  if (!support::update_bench_json(path, "rdv_bench", json.str())) {
-    std::fprintf(stderr, "rdv_bench: warning: cannot write %s\n",
-                 path.c_str());
-    return;
-  }
-  std::fprintf(stderr, "rdv_bench: timings folded into %s\n", path.c_str());
 }
 
 /// Bridges subsystem-owned statistics into metrics snapshots. The
@@ -522,7 +484,6 @@ int run_main(int argc, const char* const* argv) {
   }
 
   int failures = 0;
-  std::vector<Timing> timings;
   std::vector<store::ResultRecord> logged;
   for (std::size_t i = 0; i < selected.size(); ++i) {
     const Experiment& e = *selected[i];
@@ -553,9 +514,6 @@ int run_main(int argc, const char* const* argv) {
       }
       const std::vector<std::string> written =
           emit(e, output, emit_options);
-      timings.push_back(Timing{e.id, output.wall_micros,
-                               output.stats.items_total,
-                               output.table.row_count()});
       if (log != nullptr) {
         store::ResultRecord record;
         record.experiment_id = e.id;
@@ -601,11 +559,6 @@ int run_main(int argc, const char* const* argv) {
       !verify_result_log(args.result_log, logged)) {
     ++failures;
   }
-  write_bench_json(emit_options.csv_dir, ctx.scale,
-                   args.threads != 0
-                       ? args.threads
-                       : support::default_pool().thread_count(),
-                   timings);
   print_run_stats();
   // Sidecar emission last: a full run's worth of series, written after
   // every primary byte (stdout, CSV/JSON tables, result log) is out.
@@ -643,28 +596,6 @@ int run_main(int argc, const char* const* argv) {
   if (failures != 0) {
     std::fprintf(stderr, "rdv_bench: %d of %zu experiments failed\n",
                  failures, selected.size());
-    return 1;
-  }
-  return 0;
-}
-
-int run_single(std::string_view id) {
-  const Registry& registry = builtin_registry();
-  const Experiment* e = registry.find(id);
-  if (e == nullptr) {
-    std::fprintf(stderr, "unknown experiment id '%s'\n",
-                 std::string(id).c_str());
-    return 2;
-  }
-  ExpContext ctx;
-  ctx.scale = support::repro_census()
-                  ? Scale::kCensus
-                  : (support::repro_full() ? Scale::kFull : Scale::kQuick);
-  try {
-    const ExpOutput output = run_experiment(*e, ctx);
-    emit(*e, output, emit_options_from_env());
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "%s failed: %s\n", e->id.c_str(), ex.what());
     return 1;
   }
   return 0;

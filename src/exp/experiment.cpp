@@ -47,7 +47,7 @@ ExpOutput run_experiment(const Experiment& experiment,
             case_span.arg("case", i);
             return cases[i](ctx);
           },
-          per_case, {}, &output.stats);
+          per_case, &output.stats);
   for (std::vector<std::string>& row : rows) {
     if (!row.empty()) output.table.add_row(std::move(row));
   }

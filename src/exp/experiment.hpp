@@ -110,9 +110,10 @@ struct ExpOutput {
   std::vector<std::string> notes;
   sweep::SweepStats stats;
   /// Wall-clock of the whole run_experiment call (case generation +
-  /// sweep + merge). Scheduling-dependent: reported via BENCH_sweep.json
-  /// and the binary result log, never printed into the tables (those
-  /// stay byte-identical across thread counts and warm/cold stores).
+  /// sweep + merge). Scheduling-dependent: reported via the
+  /// exp.<id>.wall_micros metrics histogram and the binary result log,
+  /// never printed into the tables (those stay byte-identical across
+  /// thread counts and warm/cold stores).
   std::uint64_t wall_micros = 0;
 };
 

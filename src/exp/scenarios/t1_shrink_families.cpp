@@ -4,7 +4,7 @@
 //     at arbitrary distance.
 //
 // Each graph is one case whose kernel sweeps the graph's symmetric
-// pairs on sweep::run_stic_sweep: the outer case loop fans out on the
+// pairs on sweep::sweep_map: the outer case loop fans out on the
 // pool AND the per-pair Shrink product BFS runs chunked on the same
 // pool (work-assisting waits make the nesting safe); the view
 // partition is resolved once per graph through the cache.
@@ -30,25 +30,23 @@ std::vector<std::string> graph_row(const Graph& g, const ExpContext& ctx) {
   for (const auto& [u, v] : views::symmetric_pairs(g, *classes)) {
     pairs.push_back(Stic{u, v, 0});
   }
-  // Kernel computes Shrink (record.cls.shrink) on the pool; the cheap
-  // BFS distance rides along in the merge loop below.
-  const sweep::SticKernel kernel = [&g, &classes](const Stic& stic) {
-    sweep::SticRecord record;
-    record.stic = stic;
-    record.cls = analysis::classify_stic(g, *classes, stic);
-    return record;
-  };
-  const sweep::SticSweepResult result =
-      sweep::run_stic_sweep(pairs, kernel, ctx.sweep);
+  // Kernel computes Shrink (cls.shrink) on the pool; the cheap BFS
+  // distance rides along in the merge loop below.
+  const std::vector<analysis::ClassifiedStic> classified =
+      sweep::sweep_map<analysis::ClassifiedStic>(
+          pairs.size(),
+          [&](std::size_t i) {
+            return analysis::classify_stic(g, *classes, pairs[i]);
+          },
+          ctx.sweep);
 
   std::uint32_t max_dist = 0;
   std::uint32_t max_shrink = 0;
   bool shrink_eq_dist = true;
   bool shrink_eq_one = true;
-  for (const sweep::SticRecord& record : result.records) {
-    const std::uint32_t dist =
-        graph::distance(g, record.stic.u, record.stic.v);
-    const std::uint32_t s = record.cls.shrink;
+  for (const analysis::ClassifiedStic& cls : classified) {
+    const std::uint32_t dist = graph::distance(g, cls.stic.u, cls.stic.v);
+    const std::uint32_t s = cls.shrink;
     max_dist = std::max(max_dist, dist);
     max_shrink = std::max(max_shrink, s);
     if (s != dist) shrink_eq_dist = false;

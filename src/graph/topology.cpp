@@ -12,20 +12,6 @@ std::optional<Node> apply_ports(const ITopology& g, Node x,
   return v;
 }
 
-std::vector<Node> walk_ports(const ITopology& g, Node x,
-                             std::span<const Port> alpha) {
-  std::vector<Node> nodes;
-  nodes.reserve(alpha.size() + 1);
-  nodes.push_back(x);
-  Node v = x;
-  for (Port p : alpha) {
-    if (p >= g.degree(v)) return {};
-    v = g.step(v, p).to;
-    nodes.push_back(v);
-  }
-  return nodes;
-}
-
 std::vector<Port> entry_ports_along(const ITopology& g, Node x,
                                     std::span<const Port> alpha) {
   std::vector<Port> entries;

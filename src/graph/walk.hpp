@@ -17,10 +17,6 @@ namespace rdv::graph {
 [[nodiscard]] std::optional<Node> apply_ports(const ITopology& g, Node x,
                                               std::span<const Port> alpha);
 
-/// The full node sequence of apply_ports (x included). Empty on failure.
-[[nodiscard]] std::vector<Node> walk_ports(const ITopology& g, Node x,
-                                           std::span<const Port> alpha);
-
 /// Entry ports observed along apply_ports (one per step). Empty on
 /// failure. reverse_path() consumes this to compute the paper's
 /// "reverse path pi-bar".

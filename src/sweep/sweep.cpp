@@ -7,26 +7,6 @@
 
 namespace rdv::sweep {
 
-SticSweepResult run_stic_sweep(
-    const std::vector<analysis::Stic>& stics, const SticKernel& kernel,
-    const SweepConfig& config,
-    const std::function<bool(const SticRecord&)>& stop_when) {
-  SticSweepResult result;
-  result.records = sweep_map<SticRecord>(
-      stics.size(), [&](std::size_t i) { return kernel(stics[i]); },
-      config, stop_when, &result.stats);
-  return result;
-}
-
-support::Table to_table(std::vector<std::string> headers,
-                        const std::vector<SticRecord>& records) {
-  support::Table table(std::move(headers));
-  for (const SticRecord& record : records) {
-    if (!record.cells.empty()) table.add_row(record.cells);
-  }
-  return table;
-}
-
 analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
                                          std::uint64_t max_delay,
                                          const sim::AgentProgram& program,
@@ -56,10 +36,6 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
     if (!check.consistent) ++summary.inconsistent;
   }
   return summary;
-}
-
-bool stop_at_infeasible(const SticRecord& record) {
-  return !record.cls.feasible;
 }
 
 }  // namespace rdv::sweep

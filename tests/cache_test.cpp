@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 #include "cache/fingerprint.hpp"
 #include "graph/families/families.hpp"
 #include "graph/serialize.hpp"
+#include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
 #include "uxs/corpus.hpp"
@@ -308,9 +310,6 @@ TEST(ArtifactCache, ClearDropsEntriesKeepsCounters) {
 }
 
 TEST(CachedEntryPoints, NullCacheUsesGlobal) {
-  if (!global_cache().config().enabled) {
-    GTEST_SKIP() << "RDV_CACHE_DISABLE set: global cache retains nothing";
-  }
   const graph::Graph g = families::oriented_torus(3, 3);
   const auto via_null = cached_view_classes(g);
   const auto via_global = global_cache().view_classes(g);
@@ -334,27 +333,28 @@ TEST(SweepDeterminism, ByteIdenticalWithCacheOnOffAndAcrossThreads) {
     support::Table table(headers);
     for (const graph::Graph& g : graphs) {
       const std::vector<Stic> stics = analysis::enumerate_stics(g, 2);
-      const sweep::SticKernel kernel = [&g, &cache](const Stic& stic) {
-        const auto classes = cached_view_classes(g, &cache);
-        const auto quotient = cached_quotient(g, &cache);
-        sweep::SticRecord record;
-        record.stic = stic;
-        record.cls = analysis::classify_stic(g, *classes, stic);
-        record.cells = {g.name(),
-                        std::to_string(stic.u),
-                        std::to_string(stic.v),
-                        std::to_string(stic.delay),
-                        record.cls.feasible ? "yes" : "no",
-                        std::to_string(quotient->class_count())};
-        return record;
-      };
+      const std::function<std::vector<std::string>(std::size_t)> kernel =
+          [&g, &cache, &stics](std::size_t i) {
+            const Stic& stic = stics[i];
+            const auto classes = cached_view_classes(g, &cache);
+            const auto quotient = cached_quotient(g, &cache);
+            const analysis::ClassifiedStic cls =
+                analysis::classify_stic(g, *classes, stic);
+            return std::vector<std::string>{
+                g.name(),
+                std::to_string(stic.u),
+                std::to_string(stic.v),
+                std::to_string(stic.delay),
+                cls.feasible ? "yes" : "no",
+                std::to_string(quotient->class_count())};
+          };
       sweep::SweepConfig config;
       config.pool = &pool;
       config.chunk_size = 3;
-      const sweep::SticSweepResult result =
-          sweep::run_stic_sweep(stics, kernel, config);
-      for (const sweep::SticRecord& record : result.records) {
-        table.add_row(record.cells);
+      for (std::vector<std::string>& row :
+           sweep::sweep_map<std::vector<std::string>>(stics.size(), kernel,
+                                                      config)) {
+        table.add_row(std::move(row));
       }
     }
     return table.to_csv();
