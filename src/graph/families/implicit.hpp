@@ -8,12 +8,12 @@
 
 namespace rdv::graph::families {
 
-/// Non-materialized twins of the structured generators, in the
-/// `QhatImplicitTopology` mold: adjacency is computed, never stored, so
-/// the census scale is bounded by arithmetic, not memory. Each class
-/// matches its explicit generator's port convention EXACTLY (the test
-/// suite cross-checks step/degree node by node at small sizes) and adds
-/// two closed forms the implicit census runs on:
+/// Non-materialized twins of the structured generators: adjacency is
+/// computed, never stored, so the census scale is bounded by
+/// arithmetic, not memory. Each class matches its explicit generator's
+/// port convention EXACTLY (the test suite cross-checks step/degree
+/// node by node at small sizes) and adds two closed forms the implicit
+/// census runs on:
 ///
 ///  * distance(u, v) — the hop metric, in O(1)/O(dim);
 ///  * distance_histogram() — counts by distance from any one source

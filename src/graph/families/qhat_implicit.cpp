@@ -7,6 +7,9 @@
 namespace rdv::graph::families {
 namespace {
 
+constexpr std::array<Step, 4> kUnresolved{Step{kNoNode, 0}, Step{kNoNode, 0},
+                                          Step{kNoNode, 0}, Step{kNoNode, 0}};
+
 std::string key_of(std::span<const Dir> path) {
   std::string key;
   key.reserve(path.size());
@@ -42,6 +45,7 @@ QhatImplicitTopology::QhatImplicitTopology(std::uint32_t h) : h_(h) {
   // Materialize the root.
   paths_.emplace_back();
   index_.emplace(std::string{}, 0);
+  adjacency_.push_back(kUnresolved);
 }
 
 Port QhatImplicitTopology::degree(Node v) const {
@@ -74,7 +78,10 @@ Node QhatImplicitTopology::node_at(std::span<const Dir> path) const {
 Node QhatImplicitTopology::intern(const std::vector<Dir>& path) const {
   auto [it, inserted] = index_.try_emplace(
       key_of(path), static_cast<Node>(paths_.size()));
-  if (inserted) paths_.push_back(path);
+  if (inserted) {
+    paths_.push_back(path);
+    adjacency_.push_back(kUnresolved);
+  }
   return it->second;
 }
 
@@ -124,7 +131,17 @@ std::vector<Dir> QhatImplicitTopology::leaf_unrank(
 Step QhatImplicitTopology::step(Node v, Port p) const {
   assert(v < paths_.size());
   assert(p < 4);
-  const std::vector<Dir> path = paths_[v];  // copy: intern may reallocate
+  if (adjacency_[v][p].to != kNoNode) return adjacency_[v][p];
+  const Step s = resolve(v, p);
+  adjacency_[v][p] = s;
+  adjacency_[s.to][s.entry_port] = Step{v, p};
+  return s;
+}
+
+Step QhatImplicitTopology::resolve(Node v, Port p) const {
+  // Every read of `path` happens before intern(), which may reallocate
+  // paths_.
+  const std::vector<Dir>& path = paths_[v];
   const Dir port = static_cast<Dir>(p);
 
   // Tree edge toward the parent (the root has none).

@@ -22,6 +22,12 @@ namespace rdv::graph::families {
 /// through the exact same `leaf_link` wiring rule as the explicit
 /// generator, which the test suite cross-checks node by node.
 ///
+/// The adjacency of every interned node is memoized: the first
+/// traversal of an edge resolves it (interning the far end if new) and
+/// records it in both directions, so a repeat `step` is an array load.
+/// Memoizing never interns, so `materialized()` counts exactly the
+/// nodes the walk so far has reached.
+///
 /// Supports h in [2, 39] (leaf ranks fit in uint64: 3^38 < 2^63).
 class QhatImplicitTopology final : public ITopology {
  public:
@@ -59,6 +65,8 @@ class QhatImplicitTopology final : public ITopology {
 
  private:
   [[nodiscard]] Node intern(const std::vector<Dir>& path) const;
+  /// Computes step(v, p) from v's direction string.
+  [[nodiscard]] Step resolve(Node v, Port p) const;
   [[nodiscard]] std::uint64_t completions(std::uint32_t remaining, Dir at,
                                           Dir last) const;
 
@@ -72,6 +80,9 @@ class QhatImplicitTopology final : public ITopology {
   // is logically immutable — interning is a cache).
   mutable std::vector<std::vector<Dir>> paths_;
   mutable std::unordered_map<std::string, Node> index_;
+  // adjacency_[v][p] = step(v, p) once resolved; `to == kNoNode` until
+  // then. One row per interned node.
+  mutable std::vector<std::array<Step, 4>> adjacency_;
 };
 
 }  // namespace rdv::graph::families

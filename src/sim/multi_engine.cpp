@@ -19,6 +19,11 @@ struct AgentState {
   Mailbox mailbox;
   std::optional<Proc> proc;
   Node pos = graph::kNoNode;
+  /// Degree of `pos`, cached so a move costs two topology calls (its
+  /// step and the new node's degree) instead of three, and a wait none.
+  Port degree = 0;
+  /// Position before this event's move; valid while `moved` is set.
+  Node prev_pos = graph::kNoNode;
   Node start_node = graph::kNoNode;
   std::uint64_t start_round = 0;
   std::uint64_t busy_until = kRoundInfinity;
@@ -29,6 +34,9 @@ struct AgentState {
   bool finished = false;
   bool action_is_move = false;
   bool has_action = false;
+  /// Set for the agents whose action completes this event.
+  bool due = false;
+  bool moved = false;
   std::uint64_t moves = 0;
   std::uint32_t zero_wait_spin = 0;
 };
@@ -46,22 +54,27 @@ class MultiRunner {
 
   MultiRunResult run(const std::vector<AgentSpec>& specs) {
     const std::size_t k = agents_.size();
+    std::size_t unspawned = k;
+    std::uint64_t last_start = 0;
     for (std::size_t i = 0; i < k; ++i) {
       agents_[i].start_node = specs[i].start;
       agents_[i].start_round = specs[i].start_round;
+      last_start = std::max(last_start, specs[i].start_round);
     }
 
     std::uint64_t round = 0;
     for (;;) {
       // Spawn agents whose starting round arrived.
-      for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t i = 0; unspawned > 0 && i < k; ++i) {
         AgentState& a = agents_[i];
         if (!a.started && a.start_round == round) {
+          --unspawned;
           a.started = true;
           a.pos = a.start_node;
+          a.degree = g_.degree(a.pos);
           result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
                                kNoPort);
-          const Observation initial{g_.degree(a.pos), std::nullopt, 0};
+          const Observation initial{a.degree, std::nullopt, 0};
           a.mailbox.set_initial(initial);
           a.proc.emplace(specs[i].program(a.mailbox, initial));
           a.proc->start();
@@ -71,110 +84,84 @@ class MultiRunner {
       }
 
       // Meeting bookkeeping + termination checks.
-      bool all_present = true;
-      bool all_same = true;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!agents_[i].started) {
-          all_present = false;
-          break;
-        }
-        if (agents_[i].pos != agents_[0].pos) all_same = false;
-      }
+      bool all_same = unspawned == 0;
       bool stop_pair_met = false;
       for (std::size_t i = 0; i < k; ++i) {
         if (!agents_[i].started) continue;
+        if (agents_[i].pos != agents_[0].pos) all_same = false;
         for (std::size_t j = i + 1; j < k; ++j) {
-          if (!agents_[j].started) continue;
-          if (agents_[i].pos == agents_[j].pos) {
-            auto& cell = result_.first_meeting[i * k + j];
-            if (cell == kNever) cell = round;
-            if (static_cast<int>(i) == config_.stop_on_pair_a &&
-                static_cast<int>(j) == config_.stop_on_pair_b) {
-              stop_pair_met = true;
-            }
+          if (!agents_[j].started || agents_[i].pos != agents_[j].pos) {
+            continue;
+          }
+          auto& cell = result_.first_meeting[i * k + j];
+          if (cell == kNever) cell = round;
+          if (static_cast<int>(i) == config_.stop_on_pair_a &&
+              static_cast<int>(j) == config_.stop_on_pair_b) {
+            stop_pair_met = true;
           }
         }
       }
-      if (all_present && all_same) {
+      if (all_same) {
         result_.gathered = true;
         result_.gather_round_absolute = round;
-        std::uint64_t last_start = 0;
-        for (const AgentState& a : agents_) {
-          last_start = std::max(last_start, a.start_round);
-        }
         result_.gather_from_last_start = round - last_start;
         return finish(round);
       }
       if (stop_pair_met) return finish(round);
 
-      bool everything_done = true;
+      // Next event; every agent started and finished ends the run.
+      bool everything_done = unspawned == 0;
+      std::uint64_t next = kRoundInfinity;
       for (const AgentState& a : agents_) {
-        if (!a.started || !a.finished) {
+        if (!a.started) {
+          next = std::min(next, a.start_round);
+        } else if (!a.finished) {
           everything_done = false;
-          break;
+          if (a.has_action) next = std::min(next, a.busy_until);
         }
       }
       if (everything_done) {
         result_.programs_finished = true;
         return finish(round);
       }
-
-      // Next event.
-      std::uint64_t next = kRoundInfinity;
-      for (const AgentState& a : agents_) {
-        if (!a.started) {
-          next = std::min(next, a.start_round);
-        } else if (!a.finished && a.has_action) {
-          next = std::min(next, a.busy_until);
-        }
-      }
       if (next > config_.max_rounds || next == kRoundInfinity) {
         return finish(config_.max_rounds);
       }
       round = next;
 
-      // Apply move completions, then detect pairwise swaps, then
-      // resume.
-      std::vector<Node> old_pos(k);
-      std::vector<bool> moved(k, false);
-      for (std::size_t i = 0; i < k; ++i) old_pos[i] = agents_[i].pos;
+      // Apply move completions (counting pairwise swaps through one
+      // edge as each later mover lands), then resume.
       for (std::size_t i = 0; i < k; ++i) {
         AgentState& a = agents_[i];
-        if (!a.started || a.finished || !a.has_action ||
-            a.busy_until != round) {
-          continue;
-        }
-        if (a.action_is_move) {
-          a.pos = a.move_target;
-          ++a.moves;
-          moved[i] = true;
-          result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
-                               a.move_port);
-        }
-      }
-      for (std::size_t i = 0; i < k; ++i) {
-        for (std::size_t j = i + 1; j < k; ++j) {
-          if (moved[i] && moved[j] && agents_[i].pos == old_pos[j] &&
-              agents_[j].pos == old_pos[i] &&
-              agents_[i].pos != agents_[j].pos) {
+        a.due = a.has_action && a.busy_until == round;
+        a.moved = a.due && a.action_is_move;
+        if (!a.moved) continue;
+        a.prev_pos = a.pos;
+        a.pos = a.move_target;
+        a.degree = g_.degree(a.pos);
+        ++a.moves;
+        result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
+                             a.move_port);
+        for (std::size_t j = 0; j < i; ++j) {
+          const AgentState& b = agents_[j];
+          if (b.moved && b.pos == a.prev_pos && a.pos == b.prev_pos &&
+              a.pos != b.pos) {
             ++result_.edge_crossings;
           }
         }
       }
       for (std::size_t i = 0; i < k; ++i) {
         AgentState& a = agents_[i];
-        if (!a.started || a.finished || !a.has_action ||
-            a.busy_until != round) {
-          continue;
-        }
+        if (!a.due) continue;
         a.has_action = false;
-        Observation obs;
-        obs.degree = g_.degree(a.pos);
-        obs.entry_port = a.action_is_move
-                             ? std::optional<Port>(a.move_entry)
-                             : std::nullopt;
-        obs.clock = round - a.start_round;
-        a.mailbox.deliver_and_resume(obs);
+        // Passed as a temporary: a local filled in field by field was
+        // copied into the mailbox with one wide load over several narrow
+        // stores, a store-forwarding stall on every event.
+        a.mailbox.deliver_and_resume(Observation{
+            a.degree,
+            a.action_is_move ? std::optional<Port>(a.move_entry)
+                             : std::nullopt,
+            round - a.start_round});
         collect(i, round);
         if (!result_.ok()) return finish(round);
       }
@@ -204,10 +191,10 @@ class MultiRunner {
       }
       const Action action = a.mailbox.take_action();
       if (action.kind == Action::Kind::kMove) {
-        if (action.port >= g_.degree(a.pos)) {
+        if (action.port >= a.degree) {
           std::ostringstream err;
           err << "agent " << i << " used port " << action.port
-              << " at a degree-" << g_.degree(a.pos) << " node";
+              << " at a degree-" << a.degree << " node";
           result_.error = err.str();
           a.finished = true;
           return;
@@ -228,9 +215,8 @@ class MultiRunner {
           a.finished = true;
           return;
         }
-        const Observation obs{g_.degree(a.pos), std::nullopt,
-                              round - a.start_round};
-        a.mailbox.deliver_and_resume(obs);
+        a.mailbox.deliver_and_resume(
+            Observation{a.degree, std::nullopt, round - a.start_round});
         continue;
       }
       a.action_is_move = false;

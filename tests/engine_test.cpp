@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "analysis/stics.hpp"
+#include "core/universal_rv.hpp"
+#include "golden_hash.hpp"
 #include "graph/families/families.hpp"
 #include "sim/engine.hpp"
 #include "support/saturating.hpp"
@@ -206,6 +209,45 @@ TEST(Engine, MovesCounted) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.moves[0], 10u);
   EXPECT_EQ(r.moves[1], 10u);
+}
+
+// Golden pin of the engine's observable behaviour: every RunResult
+// field and the full move trace of UniversalRV on every ordered STIC
+// with delay <= 2 of three small graphs, folded into one hash. Any
+// rework of the engine must reproduce the constant exactly.
+TEST(Engine, GoldenUniversalRunsOnSmallGraphs) {
+  core::UniversalOptions options;
+  options.max_phases = 40;
+  const AgentProgram program = core::universal_rv_program(options);
+  RunConfig config;
+  config.max_rounds = std::uint64_t{1} << 16;
+  config.record_trace = true;
+  config.trace_limit = std::size_t{1} << 17;
+
+  tests::GoldenHash hash;
+  std::size_t runs = 0;
+  for (const Graph& g : {families::two_node_graph(), families::path_graph(3),
+                         families::oriented_ring(3)}) {
+    for (const analysis::Stic& s : analysis::enumerate_stics(g, 2)) {
+      const RunResult r = run_anonymous(g, program, s.u, s.v, s.delay,
+                                        config);
+      hash.add(r.met ? 1 : 0);
+      hash.add(r.meet_round_absolute);
+      hash.add(r.meet_from_later_start);
+      hash.add(r.rounds_simulated);
+      hash.add(r.edge_crossings);
+      for (int i = 0; i < 2; ++i) {
+        hash.add(r.moves[i]);
+        hash.add(r.final_pos[i]);
+      }
+      hash.add(r.programs_finished ? 1 : 0);
+      hash.add(r.error);
+      hash.add(r.trace);
+      ++runs;
+    }
+  }
+  EXPECT_EQ(runs, 42u);
+  EXPECT_EQ(hash.value(), 0xAB7E9C772C814E41ULL);
 }
 
 }  // namespace

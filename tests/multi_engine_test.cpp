@@ -2,6 +2,8 @@
 
 #include "cache/artifact_cache.hpp"
 #include "core/explore.hpp"
+#include "core/universal_rv.hpp"
+#include "golden_hash.hpp"
 #include "graph/families/families.hpp"
 #include "sim/multi_engine.hpp"
 #include "support/saturating.hpp"
@@ -242,6 +244,65 @@ TEST(MultiEngine, ErrorsPropagateWithAgentIndex) {
   const MultiRunResult r = run_multi(g, specs);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("agent 2"), std::string::npos);
+}
+
+// Golden pin of run_multi for k = 3 and 4: gatherings, the pairwise
+// first-meeting matrix, crossings, moves, final positions and traces of
+// a grid of UniversalRV agents (some replaced by clockwise walkers, so
+// agents also cross edges) on a path and a ring, folded into one hash.
+// Any rework of the engine must reproduce the constant exactly.
+TEST(MultiEngine, GoldenGridForThreeAndFourAgents) {
+  core::UniversalOptions options;
+  options.max_phases = 16;
+  const AgentProgram universal = core::universal_rv_program(options);
+  const AgentProgram walker = forward_forever();
+  MultiRunConfig config;
+  config.max_rounds = std::uint64_t{1} << 14;
+  config.record_trace = true;
+  config.trace_limit = std::size_t{1} << 16;
+
+  struct Layout {
+    std::vector<Node> starts;
+    std::vector<std::uint64_t> start_rounds;
+  };
+  const std::vector<Layout> layouts = {
+      {{0, 1, 2}, {0, 0, 0}},       {{0, 2, 3}, {0, 1, 2}},
+      {{1, 3, 0}, {2, 0, 1}},       {{3, 2, 1}, {1, 1, 0}},
+      {{0, 1, 2, 3}, {0, 0, 0, 0}}, {{3, 1, 0, 2}, {0, 1, 1, 2}},
+      {{0, 0, 2, 2}, {3, 0, 2, 1}}, {{1, 2, 3, 0}, {2, 2, 0, 0}},
+  };
+
+  tests::GoldenHash hash;
+  std::size_t runs = 0;
+  for (const Graph& g : {families::path_graph(4), families::oriented_ring(4)}) {
+    for (const Layout& layout : layouts) {
+      for (const bool with_walkers : {false, true}) {
+        const std::size_t k = layout.starts.size();
+        std::vector<AgentSpec> specs;
+        for (std::size_t i = 0; i < k; ++i) {
+          specs.push_back({with_walkers && i % 2 == 1 ? walker : universal,
+                           layout.starts[i], layout.start_rounds[i]});
+        }
+        const MultiRunResult r = run_multi(g, specs, config);
+        hash.add(r.gathered ? 1 : 0);
+        hash.add(r.gather_round_absolute);
+        hash.add(r.gather_from_last_start);
+        for (const std::uint64_t m : r.first_meeting) hash.add(m);
+        hash.add(r.rounds_simulated);
+        hash.add(r.edge_crossings);
+        for (std::size_t i = 0; i < k; ++i) {
+          hash.add(r.moves[i]);
+          hash.add(r.final_pos[i]);
+        }
+        hash.add(r.programs_finished ? 1 : 0);
+        hash.add(r.error);
+        hash.add(r.trace);
+        ++runs;
+      }
+    }
+  }
+  EXPECT_EQ(runs, 32u);
+  EXPECT_EQ(hash.value(), 0xD4C9020D121DC964ULL);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "graph/families/qhat.hpp"
 #include "graph/families/qhat_implicit.hpp"
+#include "support/splitmix.hpp"
 #include "views/refinement.hpp"
 
 namespace rdv::graph::families {
@@ -151,6 +152,32 @@ TEST(QhatImplicit, LazyMaterialization) {
   EXPECT_LE(topo.materialized(), 29u * 2);
   const auto& path = topo.path_of(v);
   EXPECT_EQ(path.size(), 28u);
+}
+
+TEST(QhatImplicit, RepeatTraversalsMatchFirstTraversals) {
+  // A seeded random walk deep enough to reach the leaf-to-leaf wiring.
+  // The twin topology takes every step twice: the repeat must return
+  // the same Step and intern nothing, so both topologies materialize
+  // the same nodes in the same order.
+  const QhatImplicitTopology once(28);
+  const QhatImplicitTopology twice(28);
+  support::SplitMix64 rng(2019);
+  Node v = once.root();
+  Node w = twice.root();
+  int leaf_steps = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const Port p = static_cast<Port>(rng.next_below(4));
+    const Step a = once.step(v, p);
+    const Step b = twice.step(w, p);
+    ASSERT_EQ(twice.step(w, p), b) << "step " << i;
+    ASSERT_EQ(a, b) << "step " << i;
+    ASSERT_EQ(once.materialized(), twice.materialized()) << "step " << i;
+    if (once.path_of(v).size() == 28) ++leaf_steps;
+    v = a.to;
+    w = b.to;
+  }
+  EXPECT_EQ(once.path_of(v), twice.path_of(w));
+  EXPECT_GT(leaf_steps, 1000);
 }
 
 TEST(QhatImplicit, ZSetWorksAtTheoremScale) {
