@@ -1,10 +1,15 @@
 #include "exp/driver.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cache/artifact_cache.hpp"
@@ -36,19 +41,19 @@ options:
   --describe       print axes / output schema of matching experiments and exit
   --all            select every registered experiment
   --smoke          smoke scale (tiny axes; CI-sized)
-  --full           full scale (default comes from REPRO_FULL)
-  --census         census scale (full + big random-graph STIC censuses;
-                   default comes from REPRO_CENSUS)
+  --full           full scale
+  --census         census scale (full + big random-graph STIC censuses)
   --threads N      run on a dedicated pool of N threads
   --chunk N        inner-sweep chunk size (default: ~4 chunks per thread)
-  --csv-dir DIR    write <dir>/<id>.csv   (default: REPRO_CSV_DIR)
-  --json-dir DIR   write <dir>/<id>.json  (default: REPRO_JSON_DIR)
+  --csv-dir DIR    write <dir>/<id>.csv
+  --json-dir DIR   write <dir>/<id>.json
   --json           also print each table as JSON to stdout
   --store-dir DIR  persistent artifact store (same as RDV_STORE_DIR):
                    warm runs skip recomputing view classes, quotients,
                    Shrink, and UXS corpus verification
-  --result-log F   append every table to a compact binary log (round-
-                   trip verified under --check)
+  --result-log F   append every table, each census case's detail
+                   records first, to a compact binary log (round-trip
+                   verified under --check)
   --metrics-out F  write the unified metrics snapshot (cache/store/
                    pool/sweep/exp series) as JSON after the run; feed
                    it to rdv_metrics dump|diff|assert
@@ -65,20 +70,21 @@ options:
 
 Value-taking options accept both `--opt VALUE` and `--opt=VALUE`.
 
-After a run, store / UXS-verification statistics are printed to
-stderr; per-experiment wall-clock timings go to the --metrics-out
-snapshot (exp.<id>.wall_micros). Metrics and traces are sidecar-only:
-stdout bytes are identical with and without them.
+Per-experiment wall-clock timings (exp.<id>.wall_micros) and the
+cache, store, UXS-verification and refinement counters go to the
+--metrics-out snapshot; read it with rdv_metrics dump. Metrics and
+traces are sidecar-only: stdout bytes are identical with and without
+them.
 )";
 
 struct Args {
+  bool help = false;
   bool list = false;
   bool describe = false;
   bool all = false;
   bool json_stdout = false;
   bool check = false;
   Scale scale = Scale::kQuick;
-  bool scale_forced = false;
   std::size_t threads = 0;
   std::size_t chunk = 0;
   std::string csv_dir;
@@ -91,6 +97,39 @@ struct Args {
   std::vector<std::string> selectors;
 };
 
+/// Where an option lands: a flag, a scale, a positive count or a
+/// nonempty path. The last two take a value.
+using Slot = std::variant<bool Args::*, Scale, std::size_t Args::*,
+                          std::string Args::*>;
+
+struct Option {
+  std::string_view name;
+  Slot slot;
+};
+
+/// Every option, each name spelled once.
+const Option kOptions[] = {
+    {"--help", &Args::help},
+    {"-h", &Args::help},
+    {"--list", &Args::list},
+    {"--describe", &Args::describe},
+    {"--all", &Args::all},
+    {"--json", &Args::json_stdout},
+    {"--check", &Args::check},
+    {"--smoke", Scale::kSmoke},
+    {"--full", Scale::kFull},
+    {"--census", Scale::kCensus},
+    {"--threads", &Args::threads},
+    {"--chunk", &Args::chunk},
+    {"--csv-dir", &Args::csv_dir},
+    {"--json-dir", &Args::json_dir},
+    {"--store-dir", &Args::store_dir},
+    {"--result-log", &Args::result_log},
+    {"--metrics-out", &Args::metrics_out},
+    {"--trace-out", &Args::trace_out},
+    {"--profile-out", &Args::profile_out},
+};
+
 bool parse_size(std::string_view text, std::size_t& out) {
   const std::string copy(text);
   char* end = nullptr;
@@ -100,94 +139,56 @@ bool parse_size(std::string_view text, std::size_t& out) {
   return true;
 }
 
+/// Returns 0 on success, 2 on a usage error (reported on stderr).
 int parse_args(int argc, const char* const* argv, Args& args) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      args.selectors.emplace_back(arg);
+      continue;
+    }
     // --opt=VALUE: split once here so every value-taking option accepts
     // both spellings.
-    std::string_view inline_value;
-    bool has_inline = false;
-    if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-') {
-      const std::size_t eq = arg.find('=');
-      if (eq != std::string_view::npos) {
-        inline_value = arg.substr(eq + 1);
-        arg = arg.substr(0, eq);
-        has_inline = true;
-      }
+    std::optional<std::string_view> value;
+    if (const std::size_t eq = arg.find('=');
+        arg.starts_with("--") && eq != std::string_view::npos) {
+      value = arg.substr(eq + 1);
+      arg = arg.substr(0, eq);
     }
-    const auto value = [&](std::string_view& out) {
-      if (has_inline) {
-        out = inline_value;
-        return true;
-      }
-      if (i + 1 >= argc) return false;
-      out = argv[++i];
-      return true;
-    };
-    const bool takes_value =
-        arg == "--threads" || arg == "--chunk" || arg == "--csv-dir" ||
-        arg == "--json-dir" || arg == "--store-dir" ||
-        arg == "--result-log" || arg == "--metrics-out" ||
-        arg == "--trace-out" || arg == "--profile-out";
-    if (has_inline && !takes_value) {
-      std::fprintf(stderr, "rdv_bench: option %s does not take a value\n",
-                   std::string(arg).c_str());
+    const std::string name(arg);
+    const Option* option = std::find_if(
+        std::begin(kOptions), std::end(kOptions),
+        [&](const Option& o) { return o.name == arg; });
+    if (option == std::end(kOptions)) {
+      std::fprintf(stderr, "rdv_bench: unknown option %s\n%s", name.c_str(),
+                   kUsage);
       return 2;
     }
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(kUsage, stdout);
-      return -1;
-    } else if (arg == "--list") {
-      args.list = true;
-    } else if (arg == "--describe") {
-      args.describe = true;
-    } else if (arg == "--all") {
-      args.all = true;
-    } else if (arg == "--smoke") {
-      args.scale = Scale::kSmoke;
-      args.scale_forced = true;
-    } else if (arg == "--full") {
-      args.scale = Scale::kFull;
-      args.scale_forced = true;
-    } else if (arg == "--census") {
-      args.scale = Scale::kCensus;
-      args.scale_forced = true;
-    } else if (arg == "--json") {
-      args.json_stdout = true;
-    } else if (arg == "--check") {
-      args.check = true;
-    } else if (arg == "--threads" || arg == "--chunk") {
-      std::string_view v;
-      std::size_t& slot = arg == "--threads" ? args.threads : args.chunk;
-      if (!value(v) || !parse_size(v, slot)) {
+    const bool takes_value = !std::holds_alternative<bool Args::*>(
+                                 option->slot) &&
+                             !std::holds_alternative<Scale>(option->slot);
+    if (value && !takes_value) {
+      std::fprintf(stderr, "rdv_bench: option %s does not take a value\n",
+                   name.c_str());
+      return 2;
+    }
+    if (!value && takes_value && i + 1 < argc) value = argv[++i];
+    if (const auto* flag = std::get_if<bool Args::*>(&option->slot)) {
+      args.*(*flag) = true;
+    } else if (const auto* scale = std::get_if<Scale>(&option->slot)) {
+      args.scale = *scale;
+    } else if (const auto* count =
+                   std::get_if<std::size_t Args::*>(&option->slot)) {
+      if (!value || !parse_size(*value, args.*(*count))) {
         std::fprintf(stderr, "rdv_bench: %s needs a positive count\n",
-                     std::string(arg).c_str());
+                     name.c_str());
         return 2;
       }
-    } else if (arg == "--csv-dir" || arg == "--json-dir" ||
-               arg == "--store-dir" || arg == "--result-log" ||
-               arg == "--metrics-out" || arg == "--trace-out" ||
-               arg == "--profile-out") {
-      std::string_view v;
-      if (!value(v) || v.empty()) {
-        std::fprintf(stderr, "rdv_bench: %s needs a path\n",
-                     std::string(arg).c_str());
-        return 2;
-      }
-      std::string& slot = arg == "--csv-dir"      ? args.csv_dir
-                          : arg == "--json-dir"   ? args.json_dir
-                          : arg == "--store-dir"  ? args.store_dir
-                          : arg == "--result-log" ? args.result_log
-                          : arg == "--metrics-out" ? args.metrics_out
-                          : arg == "--trace-out"  ? args.trace_out
-                                                  : args.profile_out;
-      slot = std::string(v);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "rdv_bench: unknown option %s\n%s",
-                   std::string(arg).c_str(), kUsage);
+    } else if (!value || value->empty()) {
+      std::fprintf(stderr, "rdv_bench: %s needs a path\n", name.c_str());
       return 2;
     } else {
-      args.selectors.emplace_back(arg);
+      args.*std::get<std::string Args::*>(option->slot) = std::string(*value);
     }
   }
   return 0;
@@ -324,57 +325,6 @@ void register_metric_sources() {
       });
 }
 
-/// Store / UXS statistics on stderr (never stdout: warm and cold runs
-/// must stay byte-identical there). The warm-run CI job greps
-/// uxs_corpus_verifications=0 on the second invocation.
-void print_run_stats() {
-  std::fprintf(stderr, "rdv_bench: uxs_corpus_verifications=%llu\n",
-               static_cast<unsigned long long>(
-                   uxs::corpus_verification_count()));
-  // The census acceptance greps these: the batched path must leave
-  // shrink_pair_bfs at zero, and a warm store leaves the compute count
-  // at zero too.
-  std::fprintf(stderr,
-               "rdv_bench: shrink_pair_bfs=%llu shrink_all_pairs_computes="
-               "%llu\n",
-               static_cast<unsigned long long>(views::shrink_pair_bfs_count()),
-               static_cast<unsigned long long>(
-                   views::shrink_all_pairs_compute_count()));
-  // Worklist refinement effort; refine_naive must read 0 on the census
-  // (the naive engine survives only as a test oracle), and a warm store
-  // leaves refine_worklist_computes at zero.
-  std::fprintf(stderr,
-               "rdv_bench: refine_worklist_computes=%llu refine_splits=%llu "
-               "refine_worklist_pops=%llu refine_naive=%llu\n",
-               static_cast<unsigned long long>(
-                   views::refine_worklist_compute_count()),
-               static_cast<unsigned long long>(views::refine_split_count()),
-               static_cast<unsigned long long>(
-                   views::refine_worklist_pop_count()),
-               static_cast<unsigned long long>(views::refine_naive_count()));
-  const store::DiskStore* disk = cache::global_cache().disk();
-  if (disk == nullptr) return;
-  std::fprintf(stderr, "rdv_bench: store dir=%s salt=%s\n",
-               disk->config().root.c_str(),
-               disk->config().build_salt.c_str());
-  for (const store::Kind kind : store::kKinds) {
-    const store::DiskStats s = disk->stats(kind);
-    std::fprintf(stderr,
-                 "rdv_bench: store[%s] hits=%llu misses=%llu corrupt=%llu "
-                 "version_mismatch=%llu writes=%llu write_failures=%llu "
-                 "bytes_read=%llu bytes_written=%llu\n",
-                 store::kind_name(kind),
-                 static_cast<unsigned long long>(s.hits),
-                 static_cast<unsigned long long>(s.misses),
-                 static_cast<unsigned long long>(s.corrupt),
-                 static_cast<unsigned long long>(s.version_mismatch),
-                 static_cast<unsigned long long>(s.writes),
-                 static_cast<unsigned long long>(s.write_failures),
-                 static_cast<unsigned long long>(s.bytes),
-                 static_cast<unsigned long long>(s.bytes_written));
-  }
-}
-
 /// Round-trips the just-written binary log and compares it against the
 /// records the run produced — the --result-log leg of --check.
 bool verify_result_log(const std::string& path,
@@ -424,14 +374,12 @@ void print_describe(const std::vector<const Experiment*>& selected) {
 
 int run_main(int argc, const char* const* argv) {
   Args args;
-  const int parse = parse_args(argc, argv, args);
-  if (parse != 0) return parse < 0 ? 0 : parse;
-  if (!args.scale_forced) {
-    if (support::repro_census()) {
-      args.scale = Scale::kCensus;
-    } else if (support::repro_full()) {
-      args.scale = Scale::kFull;
-    }
+  if (const int usage_error = parse_args(argc, argv, args)) {
+    return usage_error;
+  }
+  if (args.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
   }
   // --store-dir is sugar for RDV_STORE_DIR; exported before anything
   // touches the global cache (which reads the knob exactly once).
@@ -468,10 +416,8 @@ int run_main(int argc, const char* const* argv) {
     ctx.sweep.pool = pool.get();
   }
 
-  EmitOptions emit_options = emit_options_from_env();
-  if (!args.csv_dir.empty()) emit_options.csv_dir = args.csv_dir;
-  if (!args.json_dir.empty()) emit_options.json_dir = args.json_dir;
-  emit_options.json_stdout = args.json_stdout;
+  const EmitOptions emit_options{args.json_stdout, args.csv_dir,
+                                 args.json_dir};
 
   std::unique_ptr<store::ResultLogWriter> log;
   if (!args.result_log.empty()) {
@@ -490,32 +436,18 @@ int run_main(int argc, const char* const* argv) {
     if (i != 0) std::printf("\n");
     std::printf("== %s [%s] ==\n", e.id.c_str(), scale_name(ctx.scale));
     try {
-      // Streaming scenarios (the censuses) push per-case detail records
-      // through this sink DURING the run; they land in the log in case
-      // order, before the experiment's own summary record below.
-      std::unique_ptr<store::OrderedResultStream> stream;
-      if (log != nullptr) {
-        stream = std::make_unique<store::OrderedResultStream>(
-            *log, args.check ? &logged : nullptr);
-      }
-      ctx.stream = stream.get();
-      const ExpOutput output = run_experiment(e, ctx);
-      ctx.stream = nullptr;
+      ExpOutput output = run_experiment(e, ctx);
       // Per-scenario wall-clock series — what the CI perf-trend gate
       // diffs against its committed baseline band.
       obs::histogram("exp." + e.id + ".wall_micros")
           .observe(output.wall_micros);
-      if (stream != nullptr && stream->pending() != 0) {
-        std::fprintf(stderr,
-                     "rdv_bench: %s left %zu streamed records stranded "
-                     "(non-contiguous case indices)\n",
-                     e.id.c_str(), stream->pending());
-        ++failures;
-      }
       const std::vector<std::string> written =
           emit(e, output, emit_options);
       if (log != nullptr) {
-        store::ResultRecord record;
+        // The case details (the censuses' histograms), in case order,
+        // then the experiment's own summary record.
+        std::vector<store::ResultRecord> records = std::move(output.details);
+        store::ResultRecord& record = records.emplace_back();
         record.experiment_id = e.id;
         record.scale = scale_name(ctx.scale);
         record.wall_micros = output.wall_micros;
@@ -523,7 +455,7 @@ int run_main(int argc, const char* const* argv) {
         record.items_produced = output.stats.items_produced;
         record.headers = output.table.headers();
         record.rows = output.table.rows();
-        log->append(record);
+        for (const store::ResultRecord& r : records) log->append(r);
         if (!log->ok()) {
           // One counted failure, then stop logging (and skip the final
           // round-trip, which could only re-report the same fault).
@@ -531,8 +463,9 @@ int run_main(int argc, const char* const* argv) {
                        e.id.c_str());
           ++failures;
           log.reset();
-        } else {
-          logged.push_back(std::move(record));
+        } else if (args.check) {
+          std::move(records.begin(), records.end(),
+                    std::back_inserter(logged));
         }
       }
       if (args.check && output.table.row_count() == 0) {
@@ -559,39 +492,34 @@ int run_main(int argc, const char* const* argv) {
       !verify_result_log(args.result_log, logged)) {
     ++failures;
   }
-  print_run_stats();
   // Sidecar emission last: a full run's worth of series, written after
   // every primary byte (stdout, CSV/JSON tables, result log) is out.
-  if (!args.metrics_out.empty()) {
-    const std::string json =
-        obs::render_metrics_json(obs::Registry::instance().snapshot());
-    if (!write_file(args.metrics_out, json)) {
+  const auto sidecar = [&failures](bool written, const char* what,
+                                   const std::string& path) {
+    if (!written) {
       ++failures;
-    } else {
-      std::fprintf(stderr, "rdv_bench: metrics snapshot written to %s\n",
-                   args.metrics_out.c_str());
+      return;
     }
+    std::fprintf(stderr, "rdv_bench: %s written to %s\n", what,
+                 path.c_str());
+  };
+  if (!args.metrics_out.empty()) {
+    sidecar(write_file(args.metrics_out,
+                       obs::render_metrics_json(
+                           obs::Registry::instance().snapshot())),
+            "metrics snapshot", args.metrics_out);
   }
   if (!args.trace_out.empty()) {
     // With profiling also on, the trace gains per-task flow arrows
     // (submit -> steal -> execute -> merge) on the same thread rows.
-    const bool ok = args.profile_out.empty()
-                        ? obs::write_chrome_trace(args.trace_out)
-                        : obs::write_chrome_trace_with_tasks(args.trace_out);
-    if (!ok) {
-      ++failures;
-    } else {
-      std::fprintf(stderr, "rdv_bench: chrome trace written to %s\n",
-                   args.trace_out.c_str());
-    }
+    sidecar(args.profile_out.empty()
+                ? obs::write_chrome_trace(args.trace_out)
+                : obs::write_chrome_trace_with_tasks(args.trace_out),
+            "chrome trace", args.trace_out);
   }
   if (!args.profile_out.empty()) {
-    if (!obs::write_profile(args.profile_out)) {
-      ++failures;
-    } else {
-      std::fprintf(stderr, "rdv_bench: scheduler profile written to %s\n",
-                   args.profile_out.c_str());
-    }
+    sidecar(obs::write_profile(args.profile_out), "scheduler profile",
+            args.profile_out);
   }
   if (failures != 0) {
     std::fprintf(stderr, "rdv_bench: %d of %zu experiments failed\n",

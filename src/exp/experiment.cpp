@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/trace.hpp"
-#include "support/env.hpp"
 
 namespace rdv::exp {
 
@@ -29,7 +28,7 @@ ExpOutput run_experiment(const Experiment& experiment,
   obs::Span exp_span("exp", experiment.id);
   const std::vector<CaseFn> cases = experiment.cases(ctx);
   exp_span.arg("cases", cases.size());
-  ExpOutput output{support::Table(experiment.headers), {}, {}};
+  ExpOutput output{support::Table(experiment.headers), {}, {}, {}};
   // One case per chunk: cases are heavyweight (each renders a whole
   // row of simulations/searches), so per-case scheduling is the right
   // granularity no matter what chunk size the caller tuned for the
@@ -39,17 +38,19 @@ ExpOutput run_experiment(const Experiment& experiment,
   // executes its own chunks instead of deadlocking the worker.
   sweep::SweepConfig per_case = ctx.sweep;
   per_case.chunk_size = 1;
-  std::vector<std::vector<std::string>> rows =
-      sweep::sweep_map<std::vector<std::string>>(
-          cases.size(),
-          [&](std::size_t i) {
-            obs::Span case_span("exp.case", experiment.id);
-            case_span.arg("case", i);
-            return cases[i](ctx);
-          },
-          per_case, &output.stats);
-  for (std::vector<std::string>& row : rows) {
-    if (!row.empty()) output.table.add_row(std::move(row));
+  std::vector<CaseResult> results = sweep::sweep_map<CaseResult>(
+      cases.size(),
+      [&](std::size_t i) {
+        obs::Span case_span("exp.case", experiment.id);
+        case_span.arg("case", i);
+        return cases[i](ctx);
+      },
+      per_case, &output.stats);
+  for (CaseResult& result : results) {
+    if (!result.row.empty()) output.table.add_row(std::move(result.row));
+    for (store::ResultRecord& detail : result.details) {
+      output.details.push_back(std::move(detail));
+    }
   }
   // A case may decline to produce a row (empty return), so the produced
   // count is the table's, not the sweep's.
@@ -100,13 +101,6 @@ std::vector<const Experiment*> Registry::match(
   return matched;
 }
 
-EmitOptions emit_options_from_env() {
-  EmitOptions options;
-  options.csv_dir = support::repro_csv_dir();
-  options.json_dir = support::repro_json_dir();
-  return options;
-}
-
 bool write_file(const std::string& path, const std::string& contents) {
   std::ofstream out(path);
   if (!out) {
@@ -126,12 +120,10 @@ bool write_file(const std::string& path, const std::string& contents) {
 std::vector<std::string> emit(const Experiment& experiment,
                               const ExpOutput& output,
                               const EmitOptions& options) {
-  if (options.markdown) {
-    std::printf("%s\n%s", experiment.title.c_str(),
-                output.table.to_markdown().c_str());
-    for (const std::string& note : output.notes) {
-      std::printf("\n%s\n", note.c_str());
-    }
+  std::printf("%s\n%s", experiment.title.c_str(),
+              output.table.to_markdown().c_str());
+  for (const std::string& note : output.notes) {
+    std::printf("\n%s\n", note.c_str());
   }
   if (options.json_stdout) {
     std::printf("%s", output.table.to_json().c_str());

@@ -26,12 +26,12 @@ enum class Scale {
   /// Tiny: a strict subset of kQuick sized for CI smoke jobs and the
   /// exp_test determinism matrix (seconds for the whole registry).
   kSmoke,
-  /// The default bench run (the old no-REPRO_FULL behavior).
+  /// The default bench run.
   kQuick,
-  /// The paper-scale sweep (the old REPRO_FULL=1 behavior).
+  /// The paper-scale sweep (--full).
   kFull,
   /// Census: a strict superset of kFull growing the random-graph STIC
-  /// censuses (REPRO_CENSUS=1 / --census). Opt-in only — never reached
+  /// censuses (--census). Opt-in only — never reached
   /// from tier-1 tests or CI smoke — so axes here may take minutes.
   kCensus,
 };
@@ -63,23 +63,28 @@ struct ExpContext {
   [[nodiscard]] cache::ArtifactCache* cache() const noexcept {
     return sweep.cache;
   }
-
-  /// Detail-record sink for streaming scenarios (the censuses): a case
-  /// kernel submits per-case records under its case index and they
-  /// reach the result log incrementally in index order, regardless of
-  /// completion order — no full-table materialization, byte-identical
-  /// at every thread count (streamed records must not carry wall-clock
-  /// fields). nullptr when no result log is attached; kernels skip
-  /// streaming then.
-  store::OrderedResultStream* stream = nullptr;
 };
 
-/// Computes one table row. Must be thread-safe: cases execute
-/// concurrently on pool workers (including cases that run nested
-/// sweeps — pool waits are work-assisting, so blocking on an inner
-/// sweep from a pool task is safe). An empty return means "no row"
-/// (the case is skipped in the table).
-using CaseFn = std::function<std::vector<std::string>(const ExpContext&)>;
+/// What one case produces: its table row and any per-case detail
+/// records for the result log (the censuses' Shrink histograms). An
+/// empty row means "no row" (the case is skipped in the table).
+/// Details must not carry wall-clock fields: they merge in case order,
+/// so they are byte-identical at every thread count.
+struct CaseResult {
+  // Implicit on purpose: row-only kernels return their row directly.
+  CaseResult(std::vector<std::string> cells = {},
+             std::vector<store::ResultRecord> records = {})
+      : row(std::move(cells)), details(std::move(records)) {}
+
+  std::vector<std::string> row;
+  std::vector<store::ResultRecord> details;
+};
+
+/// Computes one case. Must be thread-safe: cases execute concurrently
+/// on pool workers (including cases that run nested sweeps — pool
+/// waits are work-assisting, so blocking on an inner sweep from a pool
+/// task is safe).
+using CaseFn = std::function<CaseResult(const ExpContext&)>;
 
 /// Declarative description of one experiment.
 struct Experiment {
@@ -108,6 +113,8 @@ struct Experiment {
 struct ExpOutput {
   support::Table table;
   std::vector<std::string> notes;
+  /// Every case's detail records, in case order.
+  std::vector<store::ResultRecord> details;
   sweep::SweepStats stats;
   /// Wall-clock of the whole run_experiment call (case generation +
   /// sweep + merge). Scheduling-dependent: reported via the
@@ -118,8 +125,8 @@ struct ExpOutput {
 };
 
 /// Instantiates the experiment's cases and executes them on the sweep
-/// substrate (sweep_map, one case per chunk), merging rows in case
-/// order. Output is byte-identical for any pool size and any cache
+/// substrate (sweep_map, one case per chunk), merging rows and details
+/// in case order. Output is byte-identical for any pool size and any cache
 /// configuration (tests/exp_test.cpp pins this for every registered
 /// experiment).
 [[nodiscard]] ExpOutput run_experiment(const Experiment& experiment,
@@ -153,15 +160,11 @@ class Registry {
 /// stdout; CSV/JSON files are written per experiment when the
 /// directories are nonempty.
 struct EmitOptions {
-  bool markdown = true;
   /// Also print the JSON rendering to stdout (after the table).
   bool json_stdout = false;
   std::string csv_dir;
   std::string json_dir;
 };
-
-/// csv_dir/json_dir from REPRO_CSV_DIR / REPRO_JSON_DIR.
-[[nodiscard]] EmitOptions emit_options_from_env();
 
 /// Writes contents to path, reporting success only when the stream
 /// flushed clean — a disk-full short write must not claim an emitted

@@ -38,15 +38,18 @@ ResultRecord decode_result_record(std::string_view bytes) {
   r.items_total = d.u64();
   r.items_produced = d.u64();
   const std::uint64_t headers = d.u64();
-  if (headers > d.remaining()) throw CodecError("header count past end");
+  // Every header, row and cell costs at least its 8-byte length or
+  // count prefix, so no count may exceed remaining() / 8: reserve()
+  // stays within the input size, never a multiple of it.
+  if (headers > d.remaining() / 8) throw CodecError("header count past end");
   r.headers.reserve(headers);
   for (std::uint64_t i = 0; i < headers; ++i) r.headers.push_back(d.str());
   const std::uint64_t rows = d.u64();
-  if (rows > d.remaining()) throw CodecError("row count past end");
+  if (rows > d.remaining() / 8) throw CodecError("row count past end");
   r.rows.reserve(rows);
   for (std::uint64_t i = 0; i < rows; ++i) {
     const std::uint64_t cells = d.u64();
-    if (cells > d.remaining()) throw CodecError("cell count past end");
+    if (cells > d.remaining() / 8) throw CodecError("cell count past end");
     std::vector<std::string> row;
     row.reserve(cells);
     for (std::uint64_t c = 0; c < cells; ++c) row.push_back(d.str());
@@ -80,32 +83,6 @@ void ResultLogWriter::append(const ResultRecord& record) {
   out_.flush();
   ok_ = out_.good();
   if (ok_) ++records_;
-}
-
-void OrderedResultStream::submit(std::size_t index, ResultRecord record) {
-  const std::scoped_lock lock(mutex_);
-  if (index < next_ || pending_.count(index) != 0) return;
-  pending_.emplace(index, std::move(record));
-  for (auto it = pending_.find(next_); it != pending_.end();
-       it = pending_.find(next_)) {
-    writer_.append(it->second);
-    if (collect_ != nullptr) collect_->push_back(std::move(it->second));
-    pending_.erase(it);
-    ++next_;
-  }
-  RDV_CHECK_MSG(pending_.empty() || pending_.begin()->first > next_,
-                "ordered stream holds a record at or before the flush "
-                "cursor");
-}
-
-std::size_t OrderedResultStream::flushed() const {
-  const std::scoped_lock lock(mutex_);
-  return next_;
-}
-
-std::size_t OrderedResultStream::pending() const {
-  const std::scoped_lock lock(mutex_);
-  return pending_.size();
 }
 
 std::vector<ResultRecord> read_result_log(const std::string& path) {

@@ -25,15 +25,14 @@
 ///    runtime on EVERY acquisition instead of only on schedules that
 ///    happen to deadlock. The global order follows the layer DAG:
 ///
-///      pool queue < pool sleep < cache shard < store < obs registry
-///                 < obs ring
+///      pool queue < pool sleep < cache shard < obs registry < obs ring
 ///
 ///    i.e. code may call "down" the stack (a pool task locking a cache
-///    shard, a shard compute appending to the result log, anything
-///    recording into an obs ring) but never back "up" while still
-///    holding the lower layer's lock. obs ranks are HIGHEST because
-///    obs mutexes are leaves: instrumentation may be called from under
-///    any subsystem lock, so nothing may be acquired beneath them.
+///    shard, anything recording into an obs ring) but never back "up"
+///    while still holding the lower layer's lock. obs ranks are HIGHEST
+///    because obs mutexes are leaves: instrumentation may be called
+///    from under any subsystem lock, so nothing may be acquired beneath
+///    them.
 ///
 /// This header is deliberately self-contained (std headers only, all
 /// inline) so the obs layer — which sits BELOW support in the link DAG
@@ -55,7 +54,6 @@ enum class LockRank : std::uint32_t {
   kPoolQueue = 10,    ///< ThreadPool worker deques + shared queue.
   kPoolSleep = 20,    ///< ThreadPool epoch/sleep mutex (the park cv).
   kCacheShard = 30,   ///< ShardedLruStore per-shard mutexes.
-  kStore = 40,        ///< OrderedResultStream / result-log framing.
   kObsRegistry = 50,  ///< obs metrics Registry name/source maps.
   kObsRing = 60,      ///< obs span/task-event rings + ring directories.
 };
@@ -65,7 +63,6 @@ enum class LockRank : std::uint32_t {
     case LockRank::kPoolQueue: return "pool_queue";
     case LockRank::kPoolSleep: return "pool_sleep";
     case LockRank::kCacheShard: return "cache_shard";
-    case LockRank::kStore: return "store";
     case LockRank::kObsRegistry: return "obs_registry";
     case LockRank::kObsRing: return "obs_ring";
   }
@@ -147,7 +144,7 @@ inline void push_rank(LockRank rank, const char* file, int line) noexcept {
       std::fprintf(stderr,
                    "RDV lock-rank violation at %s:%d: acquiring %s(%u) "
                    "while holding %s(%u); ranks must strictly ascend "
-                   "(pool_queue < pool_sleep < cache_shard < store < "
+                   "(pool_queue < pool_sleep < cache_shard < "
                    "obs_registry < obs_ring)\n",
                    file, line, lock_rank_name(rank),
                    static_cast<unsigned>(rank), lock_rank_name(top),

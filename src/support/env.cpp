@@ -16,14 +16,6 @@ std::string env_string(const char* name) {
   return raw == nullptr ? std::string() : std::string(raw);
 }
 
-bool repro_full() { return env_string("REPRO_FULL") == "1"; }
-
-bool repro_census() { return env_string("REPRO_CENSUS") == "1"; }
-
-std::string repro_csv_dir() { return env_string("REPRO_CSV_DIR"); }
-
-std::string repro_json_dir() { return env_string("REPRO_JSON_DIR"); }
-
 std::string rdv_store_dir() { return env_string("RDV_STORE_DIR"); }
 
 std::string rdv_store_salt() { return env_string("RDV_STORE_SALT"); }

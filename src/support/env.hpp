@@ -2,9 +2,9 @@
 
 #include <string>
 
-/// One place for every environment knob the binaries honor: the REPRO_*
-/// reproduction controls shared by all experiments and the RDV_* tuning
-/// knobs. Centralizing the parsing keeps the semantics identical across
+/// One place for every environment knob the library honors: the RDV_*
+/// deployment knobs (run configuration is rdv_bench's flags alone).
+/// Centralizing the parsing keeps the semantics identical across
 /// layers (e.g. "any value except empty/0 enables a flag").
 namespace rdv::support {
 
@@ -13,23 +13,6 @@ namespace rdv::support {
 
 /// The variable's value, or "" when unset.
 [[nodiscard]] std::string env_string(const char* name);
-
-/// REPRO_FULL=1 — experiments run their larger sweeps. Strictly "1"
-/// (the long-documented contract), so REPRO_FULL=false stays a no-op.
-[[nodiscard]] bool repro_full();
-
-/// REPRO_CENSUS=1 — experiments run their census-scale sweeps (a strict
-/// superset of full; big random-graph STIC censuses). Same strict-"1"
-/// contract as REPRO_FULL.
-[[nodiscard]] bool repro_census();
-
-/// REPRO_CSV_DIR — when nonempty, experiments also write
-/// `<dir>/<experiment_id>.csv`.
-[[nodiscard]] std::string repro_csv_dir();
-
-/// REPRO_JSON_DIR — when nonempty, experiments also write
-/// `<dir>/<experiment_id>.json`.
-[[nodiscard]] std::string repro_json_dir();
 
 /// RDV_STORE_DIR — when nonempty, the global artifact cache attaches a
 /// persistent on-disk store rooted there (warm runs skip recomputing

@@ -172,51 +172,6 @@ TEST(ArtifactCache, EvictionUnderCapacityBound) {
   EXPECT_LE(stats.view_classes.entries, 2u);
 }
 
-TEST(ArtifactCache, ByteBudgetBoundsResidency) {
-  CacheConfig config;
-  config.shards = 1;  // deterministic eviction order
-  config.capacity_per_shard = 64;  // entry count never binds here
-  config.bytes_per_shard = 1;      // any second entry exceeds the budget
-  ArtifactCache cache(config);
-  const graph::Graph g1 = families::oriented_ring(5);
-  const graph::Graph g2 = families::path_graph(5);
-
-  (void)cache.view_classes(g1);
-  CacheStats stats = cache.stats();
-  // One oversized artifact is retained anyway (never evict down to
-  // nothing), so residency is exactly one entry...
-  EXPECT_EQ(stats.view_classes.entries, 1u);
-  EXPECT_GT(stats.view_classes.bytes, config.bytes_per_shard);
-  EXPECT_EQ(stats.view_classes.evictions, 0u);
-
-  // ...and inserting another evicts the LRU one, never both.
-  (void)cache.view_classes(g2);
-  stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.entries, 1u);
-  EXPECT_EQ(stats.view_classes.evictions, 1u);
-
-  // The survivor is g2: re-requesting it hits, g1 misses again.
-  (void)cache.view_classes(g2);
-  EXPECT_EQ(cache.stats().view_classes.hits, 1u);
-  (void)cache.view_classes(g1);
-  EXPECT_EQ(cache.stats().view_classes.misses, 3u);
-}
-
-TEST(ArtifactCache, ByteBudgetKeepsEntriesThatFit) {
-  CacheConfig config;
-  config.shards = 1;
-  config.capacity_per_shard = 64;
-  config.bytes_per_shard = 1u << 20;  // roomy: nothing should evict
-  ArtifactCache cache(config);
-  for (std::uint32_t n = 4; n < 8; ++n) {
-    (void)cache.view_classes(families::oriented_ring(n));
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.view_classes.entries, 4u);
-  EXPECT_EQ(stats.view_classes.evictions, 0u);
-  EXPECT_LE(stats.view_classes.bytes, config.bytes_per_shard);
-}
-
 TEST(ArtifactCache, AllPairsShrinkComputedOncePerGraphAndMatchesOracle) {
   ArtifactCache cache;
   const graph::Graph g = families::random_connected(9, 10, 51);

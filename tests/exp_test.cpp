@@ -6,9 +6,6 @@
 #include <string>
 #include <vector>
 
-#include <fstream>
-#include <iterator>
-
 #include "cache/artifact_cache.hpp"
 #include "exp/scenarios/scenarios.hpp"
 #include "store/result_log.hpp"
@@ -154,54 +151,39 @@ TEST(ExpDeterminism, ByteIdenticalAcrossThreadsChunksAndCacheConfigs) {
   }
 }
 
-/// The census acceptance bar: streamed detail records reach the result
-/// log byte-identically at every thread count (OrderedResultStream
-/// re-serializes completion order into case order, and streamed records
-/// carry no wall-clock), and the census path never falls back to the
-/// per-pair product BFS — everything resolves through the batched
-/// all-pairs kernel.
-TEST(ExpCensusStreaming, LogBytesIdenticalAcrossThreadCounts) {
-  const char* census_ids[] = {"c1_random_census", "c2_implicit_census"};
-  for (const char* id : census_ids) {
+/// The census details ride the case results through sweep_map's
+/// merge: every case contributes one detail record, in case order, and
+/// the records are byte-identical at every thread count (they carry no
+/// wall-clock).
+TEST(ExpCensusDetails, IdenticalAcrossThreadCounts) {
+  for (const char* id : {"c1_random_census", "c2_implicit_census"}) {
     SCOPED_TRACE(id);
     const Experiment* e = builtin_registry().find(id);
     ASSERT_NE(e, nullptr);
-    std::vector<std::string> logs;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const std::string path = ::testing::TempDir() + "census_stream_" +
-                               std::string(id) + "_t" +
-                               std::to_string(threads) + ".rdvl";
+    std::vector<std::string> encoded;
+    for (const std::size_t threads : {1u, 4u, 16u}) {
       cache::ArtifactCache cache;
       support::ThreadPool pool(threads);
       ExpContext ctx;
-      ctx.scale = Scale::kQuick;
+      ctx.scale = Scale::kFull;
       ctx.sweep.pool = &pool;
       ctx.sweep.cache = &cache;
-      store::ResultLogWriter writer(path);
-      ASSERT_TRUE(writer.ok());
-      store::OrderedResultStream stream(writer);
-      ctx.stream = &stream;
       const ExpOutput output = run_experiment(*e, ctx);
-      EXPECT_GE(output.table.row_count(), 1u);
-      EXPECT_GT(stream.flushed(), 0u);
-      EXPECT_EQ(stream.pending(), 0u);
-      std::ifstream in(path, std::ios::binary);
-      logs.emplace_back(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-      std::filesystem::remove(path);
+      ASSERT_EQ(output.details.size(), output.table.row_count());
+      std::string bytes;
+      for (std::size_t i = 0; i < output.details.size(); ++i) {
+        const store::ResultRecord& detail = output.details[i];
+        // Case order: detail i belongs to table row i.
+        EXPECT_EQ(detail.experiment_id,
+                  std::string(id) + "/" + output.table.rows()[i][0]);
+        EXPECT_FALSE(detail.rows.empty());
+        bytes += store::encode_result_record(detail);
+      }
+      encoded.push_back(std::move(bytes));
     }
-    ASSERT_EQ(logs.size(), 2u);
-    EXPECT_FALSE(logs[0].empty());
-    EXPECT_EQ(logs[0], logs[1]);
-    // Every streamed record round-trips through the strict reader.
-    const std::string replay = ::testing::TempDir() + "census_replay.rdvl";
-    {
-      std::ofstream out(replay, std::ios::binary | std::ios::trunc);
-      out.write(logs[0].data(),
-                static_cast<std::streamsize>(logs[0].size()));
-    }
-    EXPECT_FALSE(store::read_result_log(replay).empty());
-    std::filesystem::remove(replay);
+    EXPECT_FALSE(encoded[0].empty());
+    EXPECT_EQ(encoded[0], encoded[1]);
+    EXPECT_EQ(encoded[0], encoded[2]);
   }
 }
 
@@ -259,7 +241,6 @@ TEST(Emit, CheckCountsFilesOnlyWhenFlushedClean) {
   ctx.scale = Scale::kSmoke;
   const ExpOutput output = run_experiment(*e, ctx);
   EmitOptions options;
-  options.markdown = false;
   options.csv_dir = "/no/such/dir";  // both writes fail at open
   options.json_dir = "/no/such/dir";
   EXPECT_TRUE(emit(*e, output, options).empty());
@@ -272,7 +253,6 @@ TEST(Emit, WritesCsvAndJsonFiles) {
   ctx.scale = Scale::kSmoke;
   const ExpOutput output = run_experiment(*e, ctx);
   EmitOptions options;
-  options.markdown = false;
   options.csv_dir = ::testing::TempDir();
   options.json_dir = ::testing::TempDir();
   const std::vector<std::string> written = emit(*e, output, options);

@@ -28,6 +28,8 @@
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
 #include "obs/trace.hpp"
+#include "store/log_tools.hpp"
+#include "store/result_log.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
 
@@ -1316,6 +1318,45 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
   ::unlink(trace_path.c_str());
   clear_trace();
   clear_task_events();
+}
+
+// The census result log at 1 and 4 threads: the same records with
+// wall time ignored, and each experiment's case details ahead of its
+// own summary record, one detail per table row.
+TEST(EndToEnd, CensusResultLogIsThreadStableWithDetailsFirst) {
+  std::vector<std::vector<store::ResultRecord>> logs;
+  for (const char* threads : {"1", "4"}) {
+    const std::string path =
+        std::string("/tmp/rdv_obs_test_census_t") + threads + ".rdvl";
+    const std::string log_flag = "--result-log=" + path;
+    int rc = -1;
+    (void)run_capturing_stdout(
+        {"rdv_bench", "c1_random_census", "c2_implicit_census", "--smoke",
+         "--check", "--threads", threads, log_flag.c_str()},
+        rc);
+    EXPECT_EQ(rc, 0);
+    logs.push_back(store::read_result_log(path));
+    ::unlink(path.c_str());
+  }
+  const store::LogDiff diff = store::diff_logs(logs[0], logs[1]);
+  EXPECT_TRUE(diff.identical) << diff.report;
+
+  const std::vector<store::ResultRecord>& log = logs[0];
+  std::size_t at = 0;
+  for (const std::string id : {"c1_random_census", "c2_implicit_census"}) {
+    SCOPED_TRACE(id);
+    std::size_t details = 0;
+    while (at < log.size() && log[at].experiment_id.starts_with(id + "/")) {
+      ++details;
+      ++at;
+    }
+    ASSERT_LT(at, log.size());
+    EXPECT_EQ(log[at].experiment_id, id);
+    EXPECT_GT(details, 0u);
+    EXPECT_EQ(details, log[at].rows.size());
+    ++at;
+  }
+  EXPECT_EQ(at, log.size());
 }
 
 }  // namespace

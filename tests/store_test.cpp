@@ -580,6 +580,44 @@ TEST(ResultLog, DetectsTruncationCorruptionAndBadHeader) {
   EXPECT_THROW(read_result_log(path + ".nope"), CodecError);
 }
 
+// An inflated header, row or cell count must fail at that count, with
+// its own message, before anything is reserved: each element costs at
+// least 8 bytes, so a count above remaining() / 8 cannot be honest. The
+// counts patched in here stay within remaining(), which a bound of one
+// byte per element would accept and then reserve ~32x the input for.
+TEST(ResultLog, InflatedCountsFailAtTheirOwnCount) {
+  const ResultRecord record = sample_record(0);
+  const std::string bytes = encode_result_record(record);
+  // Offsets of the three counts, from the encodings of shorter records.
+  ResultRecord no_rows = record;
+  no_rows.rows.clear();
+  ResultRecord bare = no_rows;
+  bare.headers.clear();
+  const std::size_t header_count_at = encode_result_record(bare).size() - 16;
+  const std::size_t row_count_at = encode_result_record(no_rows).size() - 8;
+  const std::size_t cell_count_at = row_count_at + 8;
+  const auto patched = [&bytes](std::size_t at) {
+    std::string out = bytes;
+    const std::uint64_t remaining = out.size() - at - 8;
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[at + b] = static_cast<char>((remaining >> (8 * b)) & 0xFF);
+    }
+    return out;
+  };
+  const auto message = [](const std::string& payload) -> std::string {
+    try {
+      (void)decode_result_record(payload);
+    } catch (const CodecError& e) {
+      return e.what();
+    }
+    return "decoded";
+  };
+  EXPECT_EQ(message(bytes), "decoded");
+  EXPECT_EQ(message(patched(header_count_at)), "header count past end");
+  EXPECT_EQ(message(patched(row_count_at)), "row count past end");
+  EXPECT_EQ(message(patched(cell_count_at)), "cell count past end");
+}
+
 TEST(Codec, AllPairsShrinkRoundTripsAndRejectsBadShape) {
   const graph::Graph g = families::random_connected(8, 9, 61);
   const views::AllPairsShrink a = views::shrink_all_pairs(g);
@@ -600,67 +638,6 @@ TEST(Codec, AllPairsShrinkRoundTripsAndRejectsBadShape) {
   skewed.values.pop_back();
   EXPECT_THROW(decode_all_pairs_shrink(encode_all_pairs_shrink(skewed)),
                CodecError);
-}
-
-TEST(OrderedResultStream, FlushesContiguousPrefixInIndexOrder) {
-  const std::string path = fresh_dir("logstream") + "/results.rdvl";
-  std::vector<ResultRecord> collected;
-  {
-    ResultLogWriter writer(path);
-    OrderedResultStream stream(writer, &collected);
-    // Submit out of order: 2 and 1 must wait for 0.
-    stream.submit(2, sample_record(2));
-    EXPECT_EQ(stream.flushed(), 0u);
-    EXPECT_EQ(stream.pending(), 1u);
-    stream.submit(1, sample_record(1));
-    EXPECT_EQ(stream.flushed(), 0u);
-    EXPECT_EQ(stream.pending(), 2u);
-    stream.submit(0, sample_record(0));
-    EXPECT_EQ(stream.flushed(), 3u);
-    EXPECT_EQ(stream.pending(), 0u);
-    // Duplicates and already-flushed indices are dropped.
-    stream.submit(1, sample_record(9));
-    EXPECT_EQ(stream.flushed(), 3u);
-    stream.submit(3, sample_record(3));
-    EXPECT_EQ(stream.flushed(), 4u);
-  }
-  const std::vector<ResultRecord> read = read_result_log(path);
-  ASSERT_EQ(read.size(), 4u);
-  ASSERT_EQ(collected.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(encode_result_record(read[static_cast<std::size_t>(i)]),
-              encode_result_record(sample_record(i)));
-    EXPECT_EQ(
-        encode_result_record(collected[static_cast<std::size_t>(i)]),
-        encode_result_record(sample_record(i)));
-  }
-}
-
-TEST(OrderedResultStream, ConcurrentSubmittersProduceOneOrdering) {
-  const std::string base = fresh_dir("logstreamconc");
-  constexpr int kRecords = 64;
-  std::vector<std::string> files;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const std::string path =
-        base + "/t" + std::to_string(threads) + ".rdvl";
-    ResultLogWriter writer(path);
-    OrderedResultStream stream(writer);
-    std::vector<std::thread> workers;
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        for (int i = static_cast<int>(t); i < kRecords;
-             i += static_cast<int>(threads)) {
-          stream.submit(static_cast<std::size_t>(i), sample_record(i));
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    EXPECT_EQ(stream.flushed(), static_cast<std::size_t>(kRecords));
-    EXPECT_EQ(stream.pending(), 0u);
-    files.push_back(path);
-  }
-  // Identical bytes no matter how many threads raced the submits.
-  EXPECT_EQ(read_file(files[0]), read_file(files[1]));
 }
 
 TEST(LogTools, CsvAndJsonRenderingsAreWallStableByDefault) {

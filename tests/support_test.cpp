@@ -400,26 +400,19 @@ TEST(Env, FlagAndStringParsing) {
   EXPECT_EQ(env_string("RDV_TEST_ENV"), "");
 }
 
-TEST(Env, StoreAndCensusKnobs) {
+TEST(Env, StoreKnobs) {
   ASSERT_EQ(setenv("RDV_STORE_DIR", "/tmp/rdv-store-x", 1), 0);
   ASSERT_EQ(setenv("RDV_STORE_SALT", "salt-x", 1), 0);
   ASSERT_EQ(setenv("RDV_STORE_READONLY", "1", 1), 0);
-  ASSERT_EQ(setenv("REPRO_CENSUS", "1", 1), 0);
   EXPECT_EQ(rdv_store_dir(), "/tmp/rdv-store-x");
   EXPECT_EQ(rdv_store_salt(), "salt-x");
   EXPECT_TRUE(rdv_store_readonly());
-  EXPECT_TRUE(repro_census());
-  // Same strict-"1" contract as REPRO_FULL.
-  ASSERT_EQ(setenv("REPRO_CENSUS", "true", 1), 0);
-  EXPECT_FALSE(repro_census());
   ASSERT_EQ(unsetenv("RDV_STORE_DIR"), 0);
   ASSERT_EQ(unsetenv("RDV_STORE_SALT"), 0);
   ASSERT_EQ(unsetenv("RDV_STORE_READONLY"), 0);
-  ASSERT_EQ(unsetenv("REPRO_CENSUS"), 0);
   EXPECT_EQ(rdv_store_dir(), "");
   EXPECT_EQ(rdv_store_salt(), "");
   EXPECT_FALSE(rdv_store_readonly());
-  EXPECT_FALSE(repro_census());
 }
 
 TEST(Table, FormatHelpers) {
