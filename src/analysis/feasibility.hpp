@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "analysis/stics.hpp"
-#include "sim/engine.hpp"
 
 /// Cross-validation of the feasibility characterization
 /// (Corollary 3.1) against actual simulations — experiment T2.
@@ -12,7 +12,12 @@ namespace rdv::analysis {
 
 struct SticCheck {
   ClassifiedStic cls;
-  sim::RunResult run;
+  /// The simulation's verdict: whether the agents met within the round
+  /// cap, the rendezvous time from the later agent's start (when met),
+  /// and a program error, if one ended the run.
+  bool met = false;
+  std::uint64_t meet_from_later_start = 0;
+  std::string error;
   /// True when the simulation agrees with the characterization:
   /// a feasible STIC met within the round cap, an infeasible one did
   /// not meet (the cap cannot *prove* infeasibility — optimal_search
@@ -20,13 +25,6 @@ struct SticCheck {
   /// inconsistency).
   bool consistent = false;
 };
-
-/// Runs the program on one STIC and compares with the prediction.
-[[nodiscard]] SticCheck verify_stic(const graph::Graph& g,
-                                    const views::ViewClasses& classes,
-                                    const Stic& stic,
-                                    const sim::AgentProgram& program,
-                                    const sim::RunConfig& config);
 
 struct SweepSummary {
   std::vector<SticCheck> checks;

@@ -148,26 +148,6 @@ OptimalResult optimal_oblivious(const Graph& g, Node u, Node v,
   return result;
 }
 
-SticOptimal optimal_for_stic(const Graph& g, const Stic& stic,
-                             const OptimalSearchConfig& config,
-                             cache::ArtifactCache* cache) {
-  SticOptimal out;
-  out.cls = classify_stic(g, *cache::cached_view_classes(g, cache), stic);
-  out.search = optimal_oblivious(g, stic.u, stic.v, stic.delay, config);
-  switch (out.search.outcome) {
-    case OptimalOutcome::kMet:
-      out.consistent = out.cls.feasible;
-      break;
-    case OptimalOutcome::kProvenInfeasible:
-      out.consistent = !out.cls.symmetric || !out.cls.feasible;
-      break;
-    case OptimalOutcome::kHorizonExceeded:
-      out.consistent = true;
-      break;
-  }
-  return out;
-}
-
 sim::AgentProgram oblivious_program(std::vector<ObliviousAction> actions) {
   return [actions = std::move(actions)](
              sim::Mailbox& mb, sim::Observation) -> sim::Proc {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "analysis/stics.hpp"
-#include "cache/artifact_cache.hpp"
 #include "graph/graph.hpp"
 #include "sim/agent.hpp"
 
@@ -70,28 +69,5 @@ struct OptimalSearchConfig {
 /// engine — the searcher and the simulator must agree.
 [[nodiscard]] sim::AgentProgram oblivious_program(
     std::vector<ObliviousAction> actions);
-
-/// STIC-level wrapper pairing the exhaustive search with the
-/// Corollary 3.1 classification (resolved through the artifact cache,
-/// so T7/T10-style sweeps over one graph classify against one shared
-/// partition).
-struct SticOptimal {
-  ClassifiedStic cls;
-  OptimalResult search;
-  /// Search verdict vs the characterization. kMet on a
-  /// predicted-infeasible STIC is a hard inconsistency; so is draining
-  /// the state space (kProvenInfeasible) on a SYMMETRIC STIC predicted
-  /// feasible (for symmetric positions oblivious strings are fully
-  /// general — Lemma 3.1). kHorizonExceeded and nonsymmetric drains
-  /// prove nothing and stay consistent.
-  bool consistent = false;
-};
-
-/// Classifies the STIC through `cache` (nullptr: the global cache) and
-/// runs optimal_oblivious on it.
-[[nodiscard]] SticOptimal optimal_for_stic(
-    const graph::Graph& g, const Stic& stic,
-    const OptimalSearchConfig& config = {},
-    cache::ArtifactCache* cache = nullptr);
 
 }  // namespace rdv::analysis

@@ -1,9 +1,18 @@
 #include "analysis/stics.hpp"
 
 #include "cache/artifact_cache.hpp"
-#include "views/shrink.hpp"
 
 namespace rdv::analysis {
+namespace {
+
+/// Corollary 3.1: feasible iff nonsymmetric, or delta >= Shrink.
+ClassifiedStic classified(const Stic& stic, bool symmetric,
+                          std::uint32_t shrink) {
+  return ClassifiedStic{stic, symmetric, shrink,
+                        !symmetric || stic.delay >= shrink};
+}
+
+}  // namespace
 
 ClassifiedStic classify_stic(const graph::Graph& g, const Stic& stic) {
   // The convenience overload resolves the partition through the global
@@ -15,12 +24,15 @@ ClassifiedStic classify_stic(const graph::Graph& g, const Stic& stic) {
 ClassifiedStic classify_stic(const graph::Graph& g,
                              const views::ViewClasses& classes,
                              const Stic& stic) {
-  ClassifiedStic out;
-  out.stic = stic;
-  out.symmetric = classes.symmetric(stic.u, stic.v);
-  out.shrink = views::shrink(g, stic.u, stic.v);
-  out.feasible = !out.symmetric || stic.delay >= out.shrink;
-  return out;
+  return classified(stic, classes.symmetric(stic.u, stic.v),
+                    views::shrink(g, stic.u, stic.v));
+}
+
+ClassifiedStic classify_stic(const views::ViewClasses& classes,
+                             const views::AllPairsShrink& shrink,
+                             const Stic& stic) {
+  return classified(stic, classes.symmetric(stic.u, stic.v),
+                    shrink.at(stic.u, stic.v));
 }
 
 std::vector<Stic> enumerate_stics(const graph::Graph& g,

@@ -5,6 +5,7 @@
 
 #include "graph/graph.hpp"
 #include "views/refinement.hpp"
+#include "views/shrink.hpp"
 
 /// Space-time initial configurations (STICs) and their classification.
 namespace rdv::analysis {
@@ -39,6 +40,12 @@ struct ClassifiedStic {
 /// partition in sweeps).
 [[nodiscard]] ClassifiedStic classify_stic(const graph::Graph& g,
                                            const views::ViewClasses& classes,
+                                           const Stic& stic);
+
+/// Classify against precomputed view classes and all-pairs Shrink table:
+/// no product BFS per STIC.
+[[nodiscard]] ClassifiedStic classify_stic(const views::ViewClasses& classes,
+                                           const views::AllPairsShrink& shrink,
                                            const Stic& stic);
 
 /// All ordered STICs (u != v) with delays 0..max_delay.

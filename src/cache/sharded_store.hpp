@@ -159,9 +159,6 @@ class ShardedLruStore {
   }
 
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return shards_.size();
-  }
 
  private:
   struct Entry {

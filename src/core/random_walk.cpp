@@ -27,12 +27,6 @@ Proc walk_body(Mailbox& mb, std::uint64_t seed,
 
 }  // namespace
 
-sim::AgentProgram random_walk_program(std::uint64_t seed) {
-  return [seed](Mailbox& mb, Observation) -> Proc {
-    return walk_body(mb, seed, 0);
-  };
-}
-
 sim::AgentProgram lazy_random_walk_program(std::uint64_t seed,
                                            std::uint32_t stay_permille) {
   if (stay_permille >= 1000) {

@@ -16,16 +16,12 @@
 /// explicit seed.
 namespace rdv::core {
 
-/// Plain synchronous random walk: every round, move through a uniformly
-/// random port. NOTE: on bipartite graphs two plain walks preserve the
-/// parity of their distance and can provably never meet (they only
-/// cross) — the classical failure the lazy variant fixes.
-[[nodiscard]] sim::AgentProgram random_walk_program(std::uint64_t seed);
-
 /// Lazy random walk: with probability stay_permille/1000 stay put,
 /// otherwise move through a uniformly random port. Laziness destroys
 /// parity invariants, so two independent lazy walks meet with high
-/// probability on every connected graph.
+/// probability on every connected graph. With stay_permille 0 it is the
+/// plain walk: on bipartite graphs two plain walks preserve the parity
+/// of their distance and can provably never meet (they only cross).
 [[nodiscard]] sim::AgentProgram lazy_random_walk_program(
     std::uint64_t seed, std::uint32_t stay_permille = 500);
 

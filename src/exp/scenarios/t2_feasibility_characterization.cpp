@@ -1,9 +1,10 @@
 // T2 — Corollary 3.1: a STIC [(u,v), delta] is feasible iff the nodes
 // are nonsymmetric, or symmetric with delta >= Shrink(u, v).
-// Cross-checks the predicate against full UniversalRV simulations over
-// every ordered STIC of each graph on the sharded sweep runner; the
-// outer case loop runs on the pool and feasibility_sweep parallelizes
-// inside each case (nested on the same pool via work-assisting waits).
+// Cross-checks the predicate against UniversalRV over every ordered
+// STIC of each graph: feasibility_sweep records one solo walk per view
+// class and decides each STIC by merging two walks, verdicts equal to a
+// full two-agent simulation's. The outer case loop runs on the pool and
+// both sweeps inside a case nest on it (work-assisting waits).
 #include <memory>
 
 #include "core/universal_rv.hpp"

@@ -26,10 +26,6 @@ enum class Dir : std::uint8_t { N = 0, E = 1, S = 2, W = 3 };
 [[nodiscard]] constexpr Dir opposite(Dir d) noexcept {
   return static_cast<Dir>((static_cast<std::uint8_t>(d) + 2) % 4);
 }
-[[nodiscard]] constexpr char dir_letter(Dir d) noexcept {
-  constexpr char kLetters[4] = {'N', 'E', 'S', 'W'};
-  return kLetters[static_cast<std::uint8_t>(d)];
-}
 
 /// Number of nodes of Q-hat-h: 1 + 2(3^h - 1). Saturates (uint64) for
 /// h > 40.

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "graph/topology.hpp"
 
@@ -16,16 +14,5 @@ namespace rdv::graph {
 /// reached (the sequence is then undefined at x).
 [[nodiscard]] std::optional<Node> apply_ports(const ITopology& g, Node x,
                                               std::span<const Port> alpha);
-
-/// Entry ports observed along apply_ports (one per step). Empty on
-/// failure. reverse_path() consumes this to compute the paper's
-/// "reverse path pi-bar".
-[[nodiscard]] std::vector<Port> entry_ports_along(
-    const ITopology& g, Node x, std::span<const Port> alpha);
-
-/// Given the entry ports of a traversed path, the outgoing port sequence
-/// that walks it backwards (Section 2's reverse path): the reversal of
-/// the entry-port list.
-[[nodiscard]] std::vector<Port> reverse_path(std::span<const Port> entry_ports);
 
 }  // namespace rdv::graph

@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "support/saturating.hpp"
 
 namespace rdv::sim {
@@ -41,11 +42,21 @@ struct AgentState {
   std::uint32_t zero_wait_spin = 0;
 };
 
+/// SoloWalk's move encoding: LEB128, seven bits per byte, low first.
+void put_varint(std::vector<std::uint8_t>& out, std::uint64_t x) {
+  for (; x >= 0x80; x >>= 7) {
+    out.push_back(static_cast<std::uint8_t>(x | 0x80));
+  }
+  out.push_back(static_cast<std::uint8_t>(x));
+}
+
 class MultiRunner {
  public:
+  /// With `walk` set the runner records the moves of its single agent
+  /// there, and a lone agent does not count as gathered.
   MultiRunner(const ITopology& g, const MultiRunConfig& config,
-              std::size_t k)
-      : g_(g), config_(config), agents_(k) {
+              std::size_t k, SoloWalk* walk = nullptr)
+      : g_(g), config_(config), agents_(k), walk_(walk) {
     if (config.record_trace) result_.trace.enable(config.trace_limit);
     result_.first_meeting.assign(k * k, kNever);
     result_.moves.assign(k, 0);
@@ -84,7 +95,7 @@ class MultiRunner {
       }
 
       // Meeting bookkeeping + termination checks.
-      bool all_same = unspawned == 0;
+      bool all_same = unspawned == 0 && walk_ == nullptr;
       bool stop_pair_met = false;
       for (std::size_t i = 0; i < k; ++i) {
         if (!agents_[i].started) continue;
@@ -142,6 +153,11 @@ class MultiRunner {
         ++a.moves;
         result_.trace.record(round, static_cast<std::uint8_t>(i), a.pos,
                              a.move_port);
+        if (walk_ != nullptr) {
+          put_varint(walk_->moves, round - last_move_round_);
+          put_varint(walk_->moves, a.move_port);
+          last_move_round_ = round;
+        }
         for (std::size_t j = 0; j < i; ++j) {
           const AgentState& b = agents_[j];
           if (b.moved && b.pos == a.prev_pos && a.pos == b.prev_pos &&
@@ -240,6 +256,33 @@ class MultiRunner {
   const MultiRunConfig& config_;
   MultiRunResult result_;
   std::vector<AgentState> agents_;
+  SoloWalk* walk_;
+  std::uint64_t last_move_round_ = 0;
+};
+
+/// Reads a SoloWalk's moves back: `round` is the current move's landing
+/// round, kNever once the walk is spent.
+struct WalkReader {
+  const std::uint8_t* at;
+  const std::uint8_t* end;
+  std::uint64_t round = 0;
+  Port port = 0;
+
+  explicit WalkReader(const SoloWalk& walk)
+      : at(walk.moves.data()), end(at + walk.moves.size()) {
+    next();
+  }
+  std::uint64_t varint() {
+    std::uint64_t x = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      x |= std::uint64_t{*at & 0x7Fu} << shift;
+      if (*at++ < 0x80) return x;
+    }
+  }
+  void next() {
+    round = at == end ? kNever : round + varint();
+    if (round != kNever) port = static_cast<Port>(varint());
+  }
 };
 
 }  // namespace
@@ -255,6 +298,55 @@ MultiRunResult run_multi(const ITopology& g,
   }
   MultiRunner runner(g, normalized, agents.size());
   return runner.run(agents);
+}
+
+SoloWalk record_walk(const ITopology& g, const AgentProgram& program,
+                     Node start, const MultiRunConfig& config) {
+  static obs::Counter& walks = obs::counter("sim.solo_walks");
+  walks.add();
+  const std::vector<AgentSpec> specs{AgentSpec{program, start, 0}};
+  SoloWalk walk;
+  MultiRunResult run = MultiRunner(g, config, 1, &walk).run(specs);
+  if (!run.ok()) walk.error_round = run.rounds_simulated;
+  walk.error = std::move(run.error);
+  walk.finished = run.programs_finished;
+  return walk;
+}
+
+WalkMerge merge_walks(const ITopology& g, const SoloWalk& earlier,
+                      Node start_earlier, const SoloWalk& later,
+                      Node start_later, std::uint64_t delay,
+                      std::uint64_t max_rounds) {
+  // The run covers the rounds before `end`: through the cap, or up to
+  // the first error, which ends its round before the meeting check. A
+  // recorded walk's error names agent 0; the later agent is agent 1.
+  WalkMerge out;
+  std::uint64_t end = sat_add(max_rounds, 1);
+  if (earlier.error_round < end) {
+    end = earlier.error_round;
+    out.error = earlier.error;
+  }
+  if (sat_add(later.error_round, delay) < end) {
+    end = later.error_round + delay;
+    out.error = later.error;
+    if (out.error.starts_with("agent 0 ")) out.error[6] = '1';
+  }
+  WalkReader a(earlier);
+  WalkReader b(later);
+  Node pos_a = start_earlier;
+  Node pos_b = start_later;
+  for (std::uint64_t round = delay; round < end;
+       round = std::min(a.round, sat_add(b.round, delay))) {
+    for (; a.round <= round; a.next()) pos_a = g.step(pos_a, a.port).to;
+    for (; sat_add(b.round, delay) <= round; b.next()) {
+      pos_b = g.step(pos_b, b.port).to;
+    }
+    if (pos_a == pos_b) {
+      out = WalkMerge{true, round - delay, {}};
+      break;
+    }
+  }
+  return out;
 }
 
 }  // namespace rdv::sim

@@ -65,4 +65,47 @@ struct MultiRunResult {
                                        const std::vector<AgentSpec>& agents,
                                        const MultiRunConfig& config = {});
 
+/// One agent's walk alone, from its start up to the round cap. Agents
+/// see only degrees, entry ports and their own clocks (Section 1), so
+/// until a meeting each agent of a pair walks as it would alone, and
+/// agents with equal views (Section 2) walk alike.
+struct SoloWalk {
+  /// Per move, the LEB128 varints of the rounds since the previous
+  /// move landed (or since the start) and of the port taken.
+  std::vector<std::uint8_t> moves;
+  /// Local round and message (naming agent 0) of a program error within
+  /// the cap; kNever and empty without one.
+  std::uint64_t error_round = kNever;
+  std::string error;
+  /// The program returned: the agent stays at its last node.
+  bool finished = false;
+};
+
+/// Records `program`'s solo walk from `start` on the run_multi event
+/// loop, under `config`'s round cap and zero-wait spin limit.
+[[nodiscard]] SoloWalk record_walk(const graph::ITopology& g,
+                                   const AgentProgram& program,
+                                   graph::Node start,
+                                   const MultiRunConfig& config);
+
+/// run_anonymous's verdict on one STIC.
+struct WalkMerge {
+  bool met = false;
+  std::uint64_t meet_from_later_start = 0;
+  std::string error;
+};
+
+/// Decides the STIC [(start_earlier, start_later), delay] from the two
+/// agents' solo walks, recorded with caps of at least `max_rounds`, as
+/// run_pair would: the meeting is the first round in [delay, max_rounds]
+/// with both agents on one node, unless a program error (the earlier
+/// agent's on a tie) ends the run first.
+[[nodiscard]] WalkMerge merge_walks(const graph::ITopology& g,
+                                    const SoloWalk& earlier,
+                                    graph::Node start_earlier,
+                                    const SoloWalk& later,
+                                    graph::Node start_later,
+                                    std::uint64_t delay,
+                                    std::uint64_t max_rounds);
+
 }  // namespace rdv::sim

@@ -189,7 +189,12 @@ std::vector<R> sweep_map(std::size_t n,
 }
 
 /// Verifies every ordered STIC with delays 0..max_delay against
-/// Corollary 3.1 (analysis::verify_stic per STIC, on the sweep runner).
+/// Corollary 3.1. Agents do not interact before they meet and agents
+/// with equal views walk alike, so the sweep records one solo walk per
+/// view class and decides each STIC by merging two walks
+/// (sim::merge_walks), with sim::run_anonymous's verdicts. Precondition:
+/// the program's instances share no mutable state (the model's
+/// anonymity; core::universal_rv_program meets it).
 [[nodiscard]] analysis::SweepSummary feasibility_sweep(
     const graph::Graph& g, std::uint64_t max_delay,
     const sim::AgentProgram& program, const sim::RunConfig& run_config,

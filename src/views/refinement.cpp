@@ -71,10 +71,6 @@ ViewClasses compute_view_classes_naive(const Graph& g) {
   return out;
 }
 
-bool symmetric(const Graph& g, Node u, Node v) {
-  return compute_view_classes(g).symmetric(u, v);
-}
-
 std::uint32_t view_distance(const Graph& g, Node u, Node v) {
   // Depth-k view equality is exactly equality after k refinement
   // rounds starting from the degree partition.
@@ -127,10 +123,6 @@ std::vector<std::pair<Node, Node>> symmetric_pairs(
     }
   }
   return pairs;
-}
-
-std::vector<std::pair<Node, Node>> symmetric_pairs(const Graph& g) {
-  return symmetric_pairs(g, compute_view_classes(g));
 }
 
 }  // namespace rdv::views

@@ -55,15 +55,8 @@ struct ViewClasses {
 /// fall back to the O(n^2 m) engine.
 [[nodiscard]] std::uint64_t refine_naive_count();
 
-/// Convenience: are u and v symmetric in g?
-[[nodiscard]] bool symmetric(const graph::Graph& g, graph::Node u,
-                             graph::Node v);
-
-/// All symmetric pairs (u, v) with u < v.
-[[nodiscard]] std::vector<std::pair<graph::Node, graph::Node>>
-symmetric_pairs(const graph::Graph& g);
-
-/// Same, against a precomputed (possibly cached) partition.
+/// All symmetric pairs (u, v) with u < v, from a precomputed (possibly
+/// cached) partition.
 [[nodiscard]] std::vector<std::pair<graph::Node, graph::Node>>
 symmetric_pairs(const graph::Graph& g, const ViewClasses& classes);
 

@@ -344,20 +344,20 @@ TEST(OptimalForStic, ConsistentWithCharacterizationThroughCache) {
 
   // Antipodal pair at delay 0: symmetric with Shrink 2 -> infeasible,
   // and the oblivious search must drain the state space.
-  const analysis::SticOptimal infeasible =
-      analysis::optimal_for_stic(g, Stic{0, 2, 0}, config, &cache);
-  EXPECT_TRUE(infeasible.cls.symmetric);
-  EXPECT_FALSE(infeasible.cls.feasible);
-  EXPECT_EQ(infeasible.search.outcome,
+  const analysis::ClassifiedStic infeasible =
+      analysis::classify_stic(g, *cache.view_classes(g), Stic{0, 2, 0});
+  EXPECT_TRUE(infeasible.symmetric);
+  EXPECT_FALSE(infeasible.feasible);
+  EXPECT_EQ(analysis::optimal_oblivious(g, 0, 2, 0, config).outcome,
             analysis::OptimalOutcome::kProvenInfeasible);
-  EXPECT_TRUE(infeasible.consistent);
 
   // Delay >= Shrink flips the verdict; the search finds a meeting.
-  const analysis::SticOptimal feasible = analysis::optimal_for_stic(
-      g, Stic{0, 2, infeasible.cls.shrink}, config, &cache);
-  EXPECT_TRUE(feasible.cls.feasible);
-  EXPECT_EQ(feasible.search.outcome, analysis::OptimalOutcome::kMet);
-  EXPECT_TRUE(feasible.consistent);
+  const analysis::ClassifiedStic feasible = analysis::classify_stic(
+      g, *cache.view_classes(g), Stic{0, 2, infeasible.shrink});
+  EXPECT_TRUE(feasible.feasible);
+  EXPECT_EQ(
+      analysis::optimal_oblivious(g, 0, 2, infeasible.shrink, config).outcome,
+      analysis::OptimalOutcome::kMet);
 
   // Both classifications resolved through one cached partition.
   const CacheStats stats = cache.stats();

@@ -104,14 +104,23 @@ TEST(Walk, ApplyPortsRejectsBadPort) {
   EXPECT_FALSE(apply_ports(g, 0, alpha).has_value());
 }
 
+// Section 2's reverse path pi-bar: the entry ports observed along a walk,
+// reversed, are the outgoing ports that walk it backwards.
 TEST(Walk, ReversePathReturnsHome) {
   const Graph g = families::random_connected(12, 6, 3);
   const std::vector<Port> alpha{0, 0, 0, 0, 0};  // port 0 always exists
-  const auto entries = entry_ports_along(g, 0, alpha);
-  ASSERT_EQ(entries.size(), alpha.size());
+  std::vector<Port> entries;
+  Node v = 0;
+  for (const Port p : alpha) {
+    const Step s = g.step(v, p);
+    entries.push_back(s.entry_port);
+    v = s.to;
+  }
   const auto fwd = apply_ports(g, 0, alpha);
   ASSERT_TRUE(fwd.has_value());
-  const auto back = apply_ports(g, *fwd, reverse_path(entries));
+  EXPECT_EQ(*fwd, v);
+  const std::vector<Port> reverse(entries.rbegin(), entries.rend());
+  const auto back = apply_ports(g, *fwd, reverse);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(*back, 0u);
 }

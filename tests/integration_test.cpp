@@ -26,7 +26,7 @@ TEST(Integration, UniversalOnSymmetricDoubleTree) {
   // Feasible symmetric STIC on the paper's Shrink = 1 family, solved
   // with zero knowledge.
   const Graph g = families::symmetric_double_tree(1, 1);
-  ASSERT_TRUE(views::symmetric(g, 1, 3));
+  ASSERT_TRUE(views::compute_view_classes(g).symmetric(1, 3));
   ASSERT_EQ(views::shrink(g, 1, 3), 1u);
   core::UniversalOptions options;
   options.max_phases = 120;

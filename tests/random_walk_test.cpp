@@ -53,8 +53,9 @@ TEST(RandomWalk, PlainWalksTrappedByParity) {
   const Graph g = families::oriented_ring(8);  // bipartite (even cycle)
   sim::RunConfig config;
   config.max_rounds = 20'000;
-  const auto r = sim::run_pair(g, random_walk_program(7),
-                               random_walk_program(8), 0, 3, 0, config);
+  const auto r = sim::run_pair(g, lazy_random_walk_program(7, 0),
+                               lazy_random_walk_program(8, 0), 0, 3, 0,
+                               config);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_FALSE(r.met);
   EXPECT_GT(r.edge_crossings, 0u);

@@ -8,6 +8,7 @@
 #include "analysis/stics.hpp"
 #include "core/universal_rv.hpp"
 #include "graph/families/families.hpp"
+#include "sim/engine.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 #include "sweep/sweep.hpp"
@@ -239,20 +240,24 @@ TEST(SticSweep, FeasibilitySweepMatchesSerialVerification) {
   const analysis::SweepSummary summary =
       feasibility_sweep(g, 2, program, config);
 
-  // Oracle: verify_stic over the enumeration, one STIC at a time.
+  // Oracle: classify_stic plus one run_anonymous per STIC, in
+  // enumeration order.
   const views::ViewClasses classes = views::compute_view_classes(g);
   const std::vector<analysis::Stic> stics = analysis::enumerate_stics(g, 2);
   ASSERT_EQ(summary.checks.size(), stics.size());
   std::uint64_t feasible = 0;
   for (std::size_t i = 0; i < stics.size(); ++i) {
-    const analysis::SticCheck serial =
-        analysis::verify_stic(g, classes, stics[i], program, config);
-    if (serial.cls.feasible) ++feasible;
+    const analysis::ClassifiedStic cls =
+        analysis::classify_stic(g, classes, stics[i]);
+    const sim::RunResult run = sim::run_anonymous(
+        g, program, stics[i].u, stics[i].v, stics[i].delay, config);
+    if (cls.feasible) ++feasible;
     EXPECT_EQ(summary.checks[i].cls.stic, stics[i]);
-    EXPECT_EQ(summary.checks[i].cls.feasible, serial.cls.feasible);
-    EXPECT_EQ(summary.checks[i].run.met, serial.run.met);
-    EXPECT_EQ(summary.checks[i].run.meet_from_later_start,
-              serial.run.meet_from_later_start);
+    EXPECT_EQ(summary.checks[i].cls.feasible, cls.feasible);
+    EXPECT_EQ(summary.checks[i].met, run.met);
+    EXPECT_EQ(summary.checks[i].meet_from_later_start,
+              run.meet_from_later_start);
+    EXPECT_EQ(summary.checks[i].error, run.error);
     EXPECT_TRUE(summary.checks[i].consistent);
   }
   EXPECT_EQ(summary.feasible, feasible);
@@ -267,15 +272,12 @@ std::string render_check(const analysis::SticCheck& c) {
        {std::uint64_t{c.cls.stic.u}, std::uint64_t{c.cls.stic.v},
         c.cls.stic.delay, std::uint64_t{c.cls.symmetric},
         std::uint64_t{c.cls.shrink}, std::uint64_t{c.cls.feasible},
-        std::uint64_t{c.run.met}, c.run.meet_round_absolute,
-        c.run.meet_from_later_start, c.run.rounds_simulated,
-        c.run.edge_crossings, c.run.moves[0], c.run.moves[1],
-        std::uint64_t{c.run.final_pos[0]}, std::uint64_t{c.run.final_pos[1]},
-        std::uint64_t{c.run.programs_finished}, std::uint64_t{c.consistent}}) {
+        std::uint64_t{c.met}, c.meet_from_later_start,
+        std::uint64_t{c.consistent}}) {
     out += std::to_string(x);
     out += ',';
   }
-  return out + c.run.error;
+  return out + c.error;
 }
 
 // 1/4/16 threads x chunk sizes {auto, 1, 64}: every field of every

@@ -52,7 +52,7 @@ TEST(UniversalRV, NonsymmetricPathNoDelay) {
   // Nonsymmetric positions, delta = 0: the AsymmRV arm of the first
   // phase with n' = 3 fires.
   const Graph g = families::path_graph(3);
-  ASSERT_FALSE(views::symmetric(g, 0, 2));
+  ASSERT_FALSE(views::compute_view_classes(g).symmetric(0, 2));
   const RunResult r = run_universal(g, 0, 2, 0, 1u << 23);
   ASSERT_TRUE(r.ok()) << r.error;
   EXPECT_TRUE(r.met);

@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/families/families.hpp"
+#include "view_tree.hpp"
 #include "views/quotient.hpp"
 #include "views/refinement.hpp"
-#include "views/view_tree.hpp"
 
 namespace rdv::views {
 namespace {
@@ -101,12 +101,12 @@ TEST(ViewTree, EncodingDepthZeroIsDegree) {
 TEST(SymmetricPairs, CountsOnKnownFamilies) {
   // Oriented ring on n nodes: all pairs symmetric: n(n-1)/2.
   const Graph ring = families::oriented_ring(6);
-  EXPECT_EQ(symmetric_pairs(ring).size(), 15u);
+  EXPECT_EQ(symmetric_pairs(ring, compute_view_classes(ring)).size(), 15u);
   // Double tree with halves of size s: exactly s mirror pairs...plus
   // any within-half symmetry; with branching 1 (a path of two chains)
   // none exist within halves. b=1,t=2: halves are 3-chains.
   const Graph dt = families::symmetric_double_tree(1, 2);
-  EXPECT_EQ(symmetric_pairs(dt).size(), 3u);
+  EXPECT_EQ(symmetric_pairs(dt, compute_view_classes(dt)).size(), 3u);
 }
 
 TEST(ViewDistance, ZeroWhenDegreesDiffer) {
