@@ -6,6 +6,7 @@
 // under.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -16,7 +17,9 @@
 #include "graph/families/families.hpp"
 #include "graph/families/implicit.hpp"
 #include "graph/graph.hpp"
+#include "golden_hash.hpp"
 #include "store/disk_store.hpp"
+#include "support/splitmix.hpp"
 #include "views/shrink.hpp"
 
 namespace rdv::views {
@@ -143,6 +146,83 @@ TEST(ShrinkAllPairs, ImplicitFamiliesPinShrinkEqualsDistance) {
       }
     }
   }
+}
+
+/// Golden pins past one 64-node batch: c1's two largest graphs, three
+/// graphs whose last batch is partial, a ring with about 150 levels, a
+/// hypercube and a torus. Each constant folds n, every value and
+/// pairs_explored, recorded from the one-BFS-per-source kernel that
+/// preceded the bit-parallel one.
+TEST(ShrinkAllPairs, GoldenTablesAtScale) {
+  struct Pin {
+    Graph g;
+    std::uint64_t hash;
+  };
+  const std::vector<Pin> pins = {
+      {families::random_connected(1024, 1792, 35), 0xe355751400ef9bfbULL},
+      {families::random_connected(512, 900, 34), 0x88b7225863222586ULL},
+      {families::random_connected(65, 110, 81), 0x77c24e0bf947f7cdULL},
+      {families::random_connected(130, 230, 82), 0xc201f3766318c0ffULL},
+      {families::random_connected(199, 350, 83), 0xc7481e22e6a2becdULL},
+      {families::oriented_ring(300), 0x7e3b89c608329b00ULL},
+      {families::hypercube(8), 0x1a2bc56379b5c52aULL},
+      {families::oriented_torus(17, 19), 0x1f1079223e786c53ULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.g.name());
+    const AllPairsShrink all = shrink_all_pairs(pin.g);
+    tests::GoldenHash hash;
+    hash.add(all.n);
+    for (const std::uint32_t value : all.values) hash.add(value);
+    hash.add(all.pairs_explored);
+    EXPECT_EQ(hash.value(), pin.hash)
+        << std::hex << "0x" << hash.value() << "ULL";
+  }
+}
+
+TEST(ShrinkAllPairs, MatchesPerPairOracleAcrossBatches) {
+  const Graph g = families::random_connected(130, 230, 82);
+  const AllPairsShrink all = shrink_all_pairs(g);
+  support::SplitMix64 rng(0x5EEDULL);
+  for (int i = 0; i < 200; ++i) {
+    const auto u = static_cast<Node>(rng.next_below(g.size()));
+    const auto v = static_cast<Node>(rng.next_below(g.size()));
+    EXPECT_EQ(all.at(u, v), shrink_with_witness(g, u, v).shrink)
+        << "pair " << u << "," << v;
+  }
+}
+
+/// Two oriented rings of 70 and 60 nodes: the first ring spans the
+/// 64-node batch boundary and the second starts inside the second
+/// batch.
+TEST(ShrinkAllPairs, DisconnectedAcrossBatchBoundary) {
+  constexpr Node kFirst = 70;
+  constexpr Node kSecond = 60;
+  std::vector<std::vector<graph::HalfEdge>> adj(kFirst + kSecond);
+  const auto add_ring = [&adj](Node base, Node size) {
+    for (Node i = 0; i < size; ++i) {
+      adj[base + i] = {{base + (i + 1) % size, 1},
+                       {base + (i + size - 1) % size, 0}};
+    }
+  };
+  add_ring(0, kFirst);
+  add_ring(kFirst, kSecond);
+  const Graph g(std::move(adj), "two-rings-70-60");
+  const AllPairsShrink all = shrink_all_pairs(g);
+  const auto ring_of = [](Node x) { return x < kFirst ? 0 : 1; };
+  for (Node u = 0; u < g.size(); ++u) {
+    for (Node v = 0; v < g.size(); ++v) {
+      if (ring_of(u) != ring_of(v)) {
+        EXPECT_EQ(all.at(u, v), graph::kUnreachable) << u << "," << v;
+        continue;
+      }
+      const Node size = ring_of(u) == 0 ? kFirst : kSecond;
+      const Node gap = u > v ? u - v : v - u;
+      EXPECT_EQ(all.at(u, v), std::min(gap, size - gap)) << u << "," << v;
+    }
+  }
+  // Every unordered same-ring pair, diagonal included: 70*71/2 + 60*61/2.
+  EXPECT_EQ(all.pairs_explored, 4315u);
 }
 
 /// The census determinism contract: resolving the all-pairs table
