@@ -5,9 +5,10 @@
 //
 // Each graph is one case whose kernel sweeps the graph's symmetric
 // pairs on sweep::sweep_map: the outer case loop fans out on the
-// pool AND the per-pair Shrink product BFS runs chunked on the same
-// pool (work-assisting waits make the nesting safe); the view
-// partition is resolved once per graph through the cache.
+// pool AND the per-pair classification runs chunked on the same pool
+// (work-assisting waits make the nesting safe); the view partition
+// and the all-pairs Shrink table are resolved once per graph through
+// the cache.
 #include <algorithm>
 #include <memory>
 
@@ -26,17 +27,19 @@ using graph::Graph;
 std::vector<std::string> graph_row(const Graph& g, const ExpContext& ctx) {
   const std::shared_ptr<const views::ViewClasses> classes =
       cache::cached_view_classes(g, ctx.cache());
+  const std::shared_ptr<const views::AllPairsShrink> shrink =
+      cache::cached_all_pairs_shrink(g, ctx.cache());
   std::vector<Stic> pairs;
   for (const auto& [u, v] : views::symmetric_pairs(g, *classes)) {
     pairs.push_back(Stic{u, v, 0});
   }
-  // Kernel computes Shrink (cls.shrink) on the pool; the cheap BFS
-  // distance rides along in the merge loop below.
+  // Kernel reads Shrink (cls.shrink) from the table on the pool; the
+  // cheap BFS distance rides along in the merge loop below.
   const std::vector<analysis::ClassifiedStic> classified =
       sweep::sweep_map<analysis::ClassifiedStic>(
           pairs.size(),
           [&](std::size_t i) {
-            return analysis::classify_stic(g, *classes, pairs[i]);
+            return analysis::classify_stic(*classes, *shrink, pairs[i]);
           },
           ctx.sweep);
 

@@ -313,7 +313,14 @@ SoloWalk record_walk(const ITopology& g, const AgentProgram& program,
   return walk;
 }
 
-WalkMerge merge_walks(const ITopology& g, const SoloWalk& earlier,
+SuccessorTable::SuccessorTable(const graph::Graph& g)
+    : width(g.max_degree()), to(g.size() * width) {
+  for (Node v = 0; v < g.size(); ++v) {
+    for (Port p = 0; p < g.degree(v); ++p) to[v * width + p] = g.step(v, p).to;
+  }
+}
+
+WalkMerge merge_walks(const SuccessorTable& g, const SoloWalk& earlier,
                       Node start_earlier, const SoloWalk& later,
                       Node start_later, std::uint64_t delay,
                       std::uint64_t max_rounds) {
@@ -337,9 +344,9 @@ WalkMerge merge_walks(const ITopology& g, const SoloWalk& earlier,
   Node pos_b = start_later;
   for (std::uint64_t round = delay; round < end;
        round = std::min(a.round, sat_add(b.round, delay))) {
-    for (; a.round <= round; a.next()) pos_a = g.step(pos_a, a.port).to;
+    for (; a.round <= round; a.next()) pos_a = g.step(pos_a, a.port);
     for (; sat_add(b.round, delay) <= round; b.next()) {
-      pos_b = g.step(pos_b, b.port).to;
+      pos_b = g.step(pos_b, b.port);
     }
     if (pos_a == pos_b) {
       out = WalkMerge{true, round - delay, {}};

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "graph/topology.hpp"
 #include "sim/agent.hpp"
 #include "sim/trace.hpp"
@@ -88,6 +89,20 @@ struct SoloWalk {
                                    graph::Node start,
                                    const MultiRunConfig& config);
 
+/// One graph's moves as a flat table, built once per graph: port p from
+/// v leads to to[v * width + p]. merge_walks replays moves through it,
+/// one load each instead of a virtual ITopology::step.
+struct SuccessorTable {
+  explicit SuccessorTable(const graph::Graph& g);
+
+  [[nodiscard]] graph::Node step(graph::Node v, graph::Port p) const {
+    return to[static_cast<std::size_t>(v) * width + p];
+  }
+
+  std::size_t width = 0;
+  std::vector<graph::Node> to;
+};
+
 /// run_anonymous's verdict on one STIC.
 struct WalkMerge {
   bool met = false;
@@ -100,7 +115,7 @@ struct WalkMerge {
 /// run_pair would: the meeting is the first round in [delay, max_rounds]
 /// with both agents on one node, unless a program error (the earlier
 /// agent's on a tie) ends the run first.
-[[nodiscard]] WalkMerge merge_walks(const graph::ITopology& g,
+[[nodiscard]] WalkMerge merge_walks(const SuccessorTable& g,
                                     const SoloWalk& earlier,
                                     graph::Node start_earlier,
                                     const SoloWalk& later,

@@ -38,6 +38,7 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
       },
       sweep_config);
 
+  const sim::SuccessorTable successors(g);
   const std::vector<analysis::Stic> stics =
       analysis::enumerate_stics(g, max_delay);
   analysis::SweepSummary summary;
@@ -48,8 +49,9 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
         const analysis::ClassifiedStic cls =
             analysis::classify_stic(*classes, *shrink, s);
         sim::WalkMerge run =
-            sim::merge_walks(g, walks[class_of[s.u]], s.u, walks[class_of[s.v]],
-                             s.v, s.delay, run_config.max_rounds);
+            sim::merge_walks(successors, walks[class_of[s.u]], s.u,
+                             walks[class_of[s.v]], s.v, s.delay,
+                             run_config.max_rounds);
         const bool consistent = run.error.empty() && run.met == cls.feasible;
         return analysis::SticCheck{cls, run.met, run.meet_from_later_start,
                                    std::move(run.error), consistent};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <queue>
 
@@ -118,41 +119,31 @@ AllPairsShrink shrink_all_pairs(const Graph& g) {
   out.n = n;
   out.values.assign(static_cast<std::size_t>(n) * n, graph::kUnreachable);
   if (n == 0) return out;
-
-  // Canonical (unordered) pair id: min coordinate first. Swapping
-  // coordinates maps product walks onto product walks and dist is
-  // symmetric, so Shrink(u, v) == Shrink(v, u); the sweep works on
-  // unordered pairs and mirrors both orders at the end.
-  const auto canon_id = [n](Node a, Node b) -> std::uint64_t {
-    return a <= b ? static_cast<std::uint64_t>(a) * n + b
-                  : static_cast<std::uint64_t>(b) * n + a;
+  // Swapping coordinates maps product walks onto product walks and dist
+  // is symmetric, so Shrink(u, v) == Shrink(v, u): the sweep fills the
+  // upper triangle values[a * n + b], a <= b, and mirrors it at the end.
+  const auto cell = [n](Node a, Node b) {
+    return static_cast<std::size_t>(a) * n + b;
   };
 
-  // Pass 1: one flat BFS row per source a fills D(a, b) for every b —
-  // the row serves both (a, b) and (b, a). Pairs are bucketed by their
-  // own distance; bucket d seeds the sweep's level d.
-  std::vector<std::vector<std::uint64_t>> buckets;
-  for (Node a = 0; a < n; ++a) {
-    const std::vector<std::uint32_t> dist = graph::bfs_distances(g, a);
-    for (Node b = a; b < n; ++b) {
-      const std::uint32_t d = dist[b];
-      if (d == graph::kUnreachable) continue;
-      if (d >= buckets.size()) buckets.resize(d + 1);
-      buckets[d].push_back(static_cast<std::uint64_t>(a) * n + b);
-    }
-  }
-
-  // Pass 2: reverse product adjacency as a flat CSR keyed by
-  // (node, port): rev_nodes[rev_off[x*maxdeg+p] ..] = all a with
-  // succ(a, p) == x. The ordered predecessors of a pair (a', b') under
-  // port p are exactly rev[a'][p] x rev[b'][p] (p is applicable at a
-  // predecessor iff both nodes own port p, which membership implies).
+  // Reverse product adjacency as a flat CSR keyed by (node, port):
+  // rev_nodes[rev_off[x*maxdeg+p] ..] = all a with succ(a, p) == x. The
+  // ordered predecessors of a pair (a', b') under port p are exactly
+  // rev[a'][p] x rev[b'][p] (p is applicable at a predecessor iff both
+  // nodes own port p, which membership implies). Bit p of x's row in
+  // `ports` is set when rev[x][p] is non-empty, so a pair visits only
+  // the ports both of its nodes can be entered by.
   const Port maxdeg = g.max_degree();
+  const std::size_t port_words = (static_cast<std::size_t>(maxdeg) + 63) / 64;
   std::vector<std::uint32_t> rev_off(
       static_cast<std::size_t>(n) * maxdeg + 1, 0);
+  std::vector<std::uint64_t> ports(static_cast<std::size_t>(n) * port_words);
   for (Node a = 0; a < n; ++a)
-    for (Port p = 0; p < g.degree(a); ++p)
-      ++rev_off[static_cast<std::size_t>(g.step(a, p).to) * maxdeg + p + 1];
+    for (Port p = 0; p < g.degree(a); ++p) {
+      const Node x = g.step(a, p).to;
+      ++rev_off[static_cast<std::size_t>(x) * maxdeg + p + 1];
+      ports[x * port_words + p / 64] |= std::uint64_t{1} << (p % 64);
+    }
   for (std::size_t i = 1; i < rev_off.size(); ++i) rev_off[i] += rev_off[i - 1];
   std::vector<Node> rev_nodes(rev_off.back());
   {
@@ -162,55 +153,131 @@ AllPairsShrink shrink_all_pairs(const Graph& g) {
         rev_nodes[cursor[static_cast<std::size_t>(g.step(a, p).to) * maxdeg +
                          p]++] = a;
   }
+  // Forward adjacency as a flat CSR for the distance BFS.
+  std::vector<std::uint32_t> adj_off(n + 1, 0);
+  for (Node v = 0; v < n; ++v) adj_off[v + 1] = adj_off[v] + g.degree(v);
+  std::vector<Node> adj(adj_off.back());
+  for (Node v = 0; v < n; ++v)
+    for (Port p = 0; p < g.degree(v); ++p) adj[adj_off[v] + p] = g.step(v, p).to;
 
-  // Pass 3: level-ordered backward closure over the pair space.
+  // n x n bit matrices, one row of `words` words per node. seen,
+  // frontier and next run the BFS from every source at once (Then et
+  // al., "The More the Merrier", VLDB 2014), 64 sources per word: bit a
+  // of row b is set in seen once dist(a, b) is known, in frontier when
+  // it is the last level, in next when it is the level being built.
+  // Bit k of a row's *_live words marks its non-zero word k, so a level
+  // touches only words its sources reach: a ring's frontier row holds
+  // two sources, not n / 64 words of them. Words outside the mask keep
+  // bits of older levels; a neighbour of the row has already seen those
+  // sources, so the ~seen mask drops them and no word is ever cleared.
+  // Bit a of row b in visited, a <= b, marks the pair the closure below
+  // has reached.
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  const std::size_t matrix = static_cast<std::size_t>(n) * words;
+  const std::size_t live_words = (words + 63) / 64;
+  std::vector<std::uint64_t> seen(matrix);
+  std::vector<std::uint64_t> frontier(matrix);
+  std::vector<std::uint64_t> next(matrix);
+  std::vector<std::uint64_t> frontier_live(n * live_words);
+  std::vector<std::uint64_t> next_live(n * live_words);
+  std::vector<std::uint64_t> visited(matrix);
+  const auto bit = [](Node x) { return std::uint64_t{1} << (x % 64); };
+
+  // Level-ordered backward closure over the pair space. Level d is
+  // seeded by the unvisited pairs at distance exactly d, which the BFS
+  // yields as it advances; every pair that reaches a seed under some
+  // common port sequence, and is not yet visited, also gets d.
   // Processing levels in increasing d keeps the assignment exact: any
   // pair that can reach some pair at distance d' < d was already
   // finalized while level d' drained, so a pair first reached at level
-  // d has minimum reachable distance exactly d. Each product edge is
-  // traversed once, giving the O(n^2 * max_degree) total.
-  std::vector<std::uint64_t> queue;
-  std::uint64_t visited = 0;
-  for (std::uint32_t d = 0; d < buckets.size(); ++d) {
-    queue.clear();
-    for (const std::uint64_t id : buckets[d])
-      if (out.values[id] == graph::kUnreachable) {
-        out.values[id] = d;
-        queue.push_back(id);
-      }
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint64_t id = queue[head];
-      ++visited;
-      const Node a2 = static_cast<Node>(id / n);
-      const Node b2 = static_cast<Node>(id % n);
-      for (Port p = 0; p < maxdeg; ++p) {
-        const std::uint32_t a_begin =
-            rev_off[static_cast<std::size_t>(a2) * maxdeg + p];
-        const std::uint32_t a_end =
-            rev_off[static_cast<std::size_t>(a2) * maxdeg + p + 1];
-        const std::uint32_t b_begin =
-            rev_off[static_cast<std::size_t>(b2) * maxdeg + p];
-        const std::uint32_t b_end =
-            rev_off[static_cast<std::size_t>(b2) * maxdeg + p + 1];
-        for (std::uint32_t i = a_begin; i < a_end; ++i)
-          for (std::uint32_t j = b_begin; j < b_end; ++j) {
-            const std::uint64_t id2 = canon_id(rev_nodes[i], rev_nodes[j]);
-            if (out.values[id2] == graph::kUnreachable) {
-              out.values[id2] = d;
-              queue.push_back(id2);
+  // d has minimum reachable distance exactly d. Within a level the
+  // order does not matter, so the pending pairs form a stack, drained
+  // before the next level; entries are packed (a << 32) | b, a <= b.
+  // Each product edge is traversed once, giving the O(n^2 * max_degree)
+  // total.
+  std::vector<std::uint64_t> pending;
+  const auto reach = [&](Node a, Node b, std::uint32_t d) {
+    visited[static_cast<std::size_t>(b) * words + a / 64] |= bit(a);
+    out.values[cell(a, b)] = d;
+    pending.push_back(static_cast<std::uint64_t>(a) << 32 | b);
+  };
+  for (Node a = 0; a < n; ++a) {
+    seen[a * words + a / 64] = frontier[a * words + a / 64] = bit(a);
+    frontier_live[a * live_words + a / 64 / 64] = bit(a / 64);
+    reach(a, a, 0);
+  }
+  std::uint64_t explored = 0;
+  for (std::uint32_t d = 0;;) {
+    while (!pending.empty()) {
+      const std::uint64_t pair = pending.back();
+      pending.pop_back();
+      ++explored;
+      const auto a2 = static_cast<Node>(pair >> 32);
+      const auto b2 = static_cast<Node>(pair);
+      const std::uint32_t* a_off =
+          &rev_off[static_cast<std::size_t>(a2) * maxdeg];
+      const std::uint32_t* b_off =
+          &rev_off[static_cast<std::size_t>(b2) * maxdeg];
+      for (std::size_t k = 0; k < port_words; ++k)
+        for (std::uint64_t common = ports[a2 * port_words + k] &
+                                    ports[b2 * port_words + k];
+             common != 0; common &= common - 1) {
+          const std::size_t p = k * 64 + std::countr_zero(common);
+          for (std::uint32_t i = a_off[p]; i < a_off[p + 1]; ++i)
+            for (std::uint32_t j = b_off[p]; j < b_off[p + 1]; ++j) {
+              const auto [a, b] = std::minmax(rev_nodes[i], rev_nodes[j]);
+              if ((visited[b * words + a / 64] & bit(a)) == 0) reach(a, b, d);
             }
-          }
+        }
+    }
+
+    // Advance the BFS one level; the new (a, b) with a <= b not yet
+    // visited seed level d + 1.
+    ++d;
+    std::uint64_t any = 0;
+    for (Node b = 0; b < n; ++b) {
+      std::uint64_t* row = &next[b * words];
+      std::uint64_t* row_live = &next_live[b * live_words];
+      std::uint64_t* seen_row = &seen[b * words];
+      const std::uint64_t* vis_row = &visited[b * words];
+      for (std::size_t j = 0; j < live_words; ++j) {
+        std::uint64_t live = 0;
+        for (std::uint32_t i = adj_off[b]; i < adj_off[b + 1]; ++i)
+          live |= frontier_live[adj[i] * live_words + j];
+        row_live[j] = 0;
+        for (; live != 0; live &= live - 1) {
+          const std::size_t k = j * 64 + std::countr_zero(live);
+          std::uint64_t acc = 0;
+          for (std::uint32_t i = adj_off[b]; i < adj_off[b + 1]; ++i)
+            acc |= frontier[adj[i] * words + k];
+          acc &= ~seen_row[k];
+          if (acc == 0) continue;
+          seen_row[k] |= acc;
+          row[k] = acc;
+          row_live[j] |= bit(static_cast<Node>(k));
+          if (k > b / 64) continue;
+          std::uint64_t fresh = acc & ~vis_row[k];
+          if (k == b / 64) fresh &= ~std::uint64_t{0} >> (63 - b % 64);
+          for (; fresh != 0; fresh &= fresh - 1)
+            reach(static_cast<Node>(k * 64 + std::countr_zero(fresh)), b, d);
+        }
+        any |= row_live[j];
       }
     }
+    if (any == 0) break;
+    frontier.swap(next);
+    frontier_live.swap(next_live);
   }
-  out.pairs_explored = visited;
+  out.pairs_explored = explored;
 
-  // Mirror the canonical triangle onto both orders (cross-component
-  // pairs stay kUnreachable on both sides).
-  for (Node a = 0; a < n; ++a)
-    for (Node b = a + 1; b < n; ++b)
-      out.values[static_cast<std::size_t>(b) * n + a] =
-          out.values[static_cast<std::size_t>(a) * n + b];
+  // Mirror the triangle onto the lower half in 64 x 64 tiles, so each
+  // tile's strided reads stay in L1 (cross-component pairs stay
+  // kUnreachable on both sides).
+  for (Node a0 = 0; a0 < n; a0 += 64)
+    for (Node b0 = a0; b0 < n; b0 += 64)
+      for (Node b = b0; b < std::min<Node>(b0 + 64, n); ++b)
+        for (Node a = a0; a < std::min<Node>({a0 + 64, n, b}); ++a)
+          out.values[cell(b, a)] = out.values[cell(a, b)];
   return out;
 }
 

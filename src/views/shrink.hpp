@@ -59,13 +59,16 @@ struct AllPairsShrink {
   }
 };
 
-/// Batched all-pairs Shrink: one flat-array BFS sweep per source fills
-/// the distance rows (each row serves both (u,v) and (v,u)), then a
-/// single level-ordered backward propagation over the unordered pair
-/// space assigns Shrink(u, v) = d to every pair first reached at level
-/// d. Each product edge is traversed once, so the whole table costs
-/// O(n^2 * max_degree) — the price of ONE per-pair product BFS — with
-/// flat vectors and a bitset instead of hash maps on the hot path.
+/// Batched all-pairs Shrink: a level-ordered backward closure over the
+/// unordered pair space assigns Shrink(u, v) = d to every pair first
+/// reached at level d. Level d is seeded by the not yet visited pairs
+/// at distance exactly d, which a bit-parallel all-sources BFS (64
+/// sources per uint64_t word, one row of words per node) yields one
+/// level at a time; an n^2-bit visited matrix marks the pairs the
+/// closure has reached. Each product edge is traversed once, so the
+/// whole table costs O(n^2 * max_degree) — the price of ONE per-pair
+/// product BFS — plus at most n * max_degree * n / 64 word ORs per BFS
+/// level, fewer where the frontier is sparse.
 /// shrink_with_witness remains the witness-reconstruction fallback and
 /// the oracle this kernel is verified against.
 [[nodiscard]] AllPairsShrink shrink_all_pairs(const graph::Graph& g);

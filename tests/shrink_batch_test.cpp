@@ -150,9 +150,10 @@ TEST(ShrinkAllPairs, ImplicitFamiliesPinShrinkEqualsDistance) {
 
 /// Golden pins past one 64-node batch: c1's two largest graphs, three
 /// graphs whose last batch is partial, a ring with about 150 levels, a
-/// hypercube and a torus. Each constant folds n, every value and
-/// pairs_explored, recorded from the one-BFS-per-source kernel that
-/// preceded the bit-parallel one.
+/// path with 256 levels (sparse BFS frontiers), a hypercube, a torus
+/// and a grid. Each constant folds n, every value and pairs_explored,
+/// recorded from the one-BFS-per-source kernel that preceded the
+/// bit-parallel one.
 TEST(ShrinkAllPairs, GoldenTablesAtScale) {
   struct Pin {
     Graph g;
@@ -165,8 +166,10 @@ TEST(ShrinkAllPairs, GoldenTablesAtScale) {
       {families::random_connected(130, 230, 82), 0xc201f3766318c0ffULL},
       {families::random_connected(199, 350, 83), 0xc7481e22e6a2becdULL},
       {families::oriented_ring(300), 0x7e3b89c608329b00ULL},
+      {families::path_graph(257), 0x37d711446fc8f0f9ULL},
       {families::hypercube(8), 0x1a2bc56379b5c52aULL},
       {families::oriented_torus(17, 19), 0x1f1079223e786c53ULL},
+      {families::grid(24, 23), 0x542fb5ad198ec5adULL},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.g.name());
