@@ -1,7 +1,7 @@
 // rdv_profile — analyze rdv_bench scheduler-profile sidecars.
 //
 // `rdv_bench --profile-out p.json` writes the reconstructed task
-// lifecycles (obs/profile.hpp, format 1); this CLI re-analyzes them:
+// lifecycles (obs/profile.hpp, format 2); this CLI re-analyzes them:
 // `report` prints critical-path attribution, thread utilization,
 // latency histograms and the thundering-herd factor; `top` ranks tasks
 // by execution time; `diff` compares two profiles' aggregates.
@@ -28,9 +28,10 @@ constexpr const char* kUsage = R"(usage: rdv_profile <command> ...
 
 commands:
   report FILE [--strict]
-      print the full scheduler report: per-sweep critical-path stage
-      attribution, per-thread busy/park/idle shares, queue- and
-      steal-latency histograms, steal ratio, thundering-herd factor.
+      print the full scheduler report: experiment walls and case
+      sweeps, per-sweep critical-path stage attribution, per-thread
+      busy/park/idle shares, queue- and steal-latency histograms,
+      steal ratio, thundering-herd factor.
       --strict exits 1 when events were dropped or any sweep's stage
       sum deviates from its measured wall by more than 5%
   top FILE [-n N]

@@ -48,7 +48,7 @@ int main() {
   specs.push_back({waiter, 7, 3});
   specs.push_back({waiter, 11, 0});
 
-  rdv::sim::MultiRunConfig config;
+  rdv::sim::RunConfig config;
   config.max_rounds = 8 * (y.length() + 2);
   const auto r = rdv::sim::run_multi(g, specs, config);
 
@@ -81,7 +81,7 @@ int main() {
   for (const rdv::graph::Node start : {0u, 2u, 4u}) {
     crew.push_back({mover, start, 0});
   }
-  rdv::sim::MultiRunConfig ring_config;
+  rdv::sim::RunConfig ring_config;
   ring_config.max_rounds = 1000;
   const auto lockstep = rdv::sim::run_multi(ring, crew, ring_config);
   std::printf(

@@ -18,7 +18,6 @@
 #include "obs/metrics_tools.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "store/result_log.hpp"
 #include "support/env.hpp"
 #include "support/thread_pool.hpp"
@@ -57,14 +56,16 @@ options:
   --metrics-out F  write the unified metrics snapshot (cache/store/
                    pool/sweep/exp series) as JSON after the run; feed
                    it to rdv_metrics dump|diff|assert
-  --trace-out F    enable span tracing and write a Chrome-trace /
-                   Perfetto JSON (chrome://tracing, ui.perfetto.dev)
-  --profile-out F  enable task-lifecycle profiling and write the
-                   scheduler profile (submit/steal/exec/park per task,
-                   sweep DAGs) as JSON; analyze with rdv_profile
-                   report|top|diff. Combined with --trace-out, the
-                   trace gains flow arrows stitching each task's
-                   submit -> steal -> execute -> merge across threads
+  --trace-out F    write the run's timeline as a Chrome trace / Perfetto
+                   JSON (chrome://tracing, ui.perfetto.dev): experiment,
+                   sweep, chunk, merge and park slices, plus flow arrows
+                   stitching each task's submit -> steal -> execute ->
+                   merge across threads
+  --profile-out F  write the scheduler profile (experiments, submit/
+                   steal/exec/park per task, sweep DAGs) as JSON;
+                   analyze with rdv_profile report|top|diff. Either
+                   flag switches on the one task-event log both files
+                   are rendered from
   --check          fail (exit 1) if any experiment emits an empty table
   --help           this text
 
@@ -293,11 +294,10 @@ void register_metric_sources() {
       });
   obs::Registry::instance().register_source(
       "exp.obs", [](obs::MetricsSnapshot& snap) {
-        // Observability self-monitoring (ISSUE 9): ring overwrites in
-        // the span tracer and the task-event log surface as counters,
-        // so CI can assert obs.*_dropped==0 on smoke runs — a sidecar
-        // that silently lost events is worse than none.
-        snap.counters["obs.trace_dropped"] = obs::trace_dropped_count();
+        // Observability self-monitoring: task-event ring overwrites
+        // surface as a counter, so CI can assert
+        // obs.task_events_dropped==0 on smoke runs — a sidecar that
+        // silently lost events is worse than none.
         snap.counters["obs.task_events_dropped"] =
             obs::task_events_dropped_count();
         snap.counters["obs.task_events_recorded"] =
@@ -386,11 +386,10 @@ int run_main(int argc, const char* const* argv) {
   if (!args.store_dir.empty()) {
     support::env_export("RDV_STORE_DIR", args.store_dir);
   }
-  // Tracing/profiling flip on only when a sink was requested (and
-  // before the pool spins up, so worker park/assist events are
-  // captured too).
-  if (!args.trace_out.empty()) obs::set_trace_enabled(true);
-  if (!args.profile_out.empty()) obs::set_task_events_enabled(true);
+  // The task-event log flips on only when a sink was requested (and
+  // before the pool spins up, so worker park events are captured too).
+  const bool timeline = !args.trace_out.empty() || !args.profile_out.empty();
+  if (timeline) obs::set_task_events_enabled(true);
   register_metric_sources();
 
   const Registry& registry = builtin_registry();
@@ -509,17 +508,16 @@ int run_main(int argc, const char* const* argv) {
                            obs::Registry::instance().snapshot())),
             "metrics snapshot", args.metrics_out);
   }
-  if (!args.trace_out.empty()) {
-    // With profiling also on, the trace gains per-task flow arrows
-    // (submit -> steal -> execute -> merge) on the same thread rows.
-    sidecar(args.profile_out.empty()
-                ? obs::write_chrome_trace(args.trace_out)
-                : obs::write_chrome_trace_with_tasks(args.trace_out),
-            "chrome trace", args.trace_out);
-  }
-  if (!args.profile_out.empty()) {
-    sidecar(obs::write_profile(args.profile_out), "scheduler profile",
-            args.profile_out);
+  if (timeline) {
+    const obs::Profile profile = obs::build_profile(obs::drain_task_events());
+    if (!args.trace_out.empty()) {
+      sidecar(write_file(args.trace_out, obs::render_chrome_trace(profile)),
+              "chrome trace", args.trace_out);
+    }
+    if (!args.profile_out.empty()) {
+      sidecar(write_file(args.profile_out, obs::render_profile_json(profile)),
+              "scheduler profile", args.profile_out);
+    }
   }
   if (failures != 0) {
     std::fprintf(stderr, "rdv_bench: %d of %zu experiments failed\n",

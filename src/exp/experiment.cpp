@@ -5,7 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "obs/trace.hpp"
+#include "obs/task_events.hpp"
 
 namespace rdv::exp {
 
@@ -22,12 +22,17 @@ const char* scale_name(Scale scale) noexcept {
 ExpOutput run_experiment(const Experiment& experiment,
                          const ExpContext& ctx) {
   const auto t0 = std::chrono::steady_clock::now();
-  // One span per experiment and one per case ("exp.case" category,
-  // case index in args) — the per-scenario skeleton a Perfetto view of
-  // a whole run hangs off. Sidecar-only: spans never touch the table.
-  obs::Span exp_span("exp", experiment.id);
+  // Experiment markers in the task-event log: the per-scenario skeleton
+  // a Perfetto view of a whole run hangs off, each case one chunk of
+  // the case sweep named at the end. Sidecar-only: they never touch
+  // the table.
+  const bool profiled = obs::task_events_enabled();
+  const std::uint64_t label =
+      profiled ? obs::intern_label(experiment.id) : 0;
+  if (profiled) {
+    obs::record_task_event(obs::TaskEventKind::kExpBegin, 0, label);
+  }
   const std::vector<CaseFn> cases = experiment.cases(ctx);
-  exp_span.arg("cases", cases.size());
   ExpOutput output{support::Table(experiment.headers), {}, {}, {}};
   // One case per chunk: cases are heavyweight (each renders a whole
   // row of simulations/searches), so per-case scheduling is the right
@@ -40,12 +45,8 @@ ExpOutput run_experiment(const Experiment& experiment,
   per_case.chunk_size = 1;
   std::vector<CaseResult> results = sweep::sweep_map<CaseResult>(
       cases.size(),
-      [&](std::size_t i) {
-        obs::Span case_span("exp.case", experiment.id);
-        case_span.arg("case", i);
-        return cases[i](ctx);
-      },
-      per_case, &output.stats);
+      [&](std::size_t i) { return cases[i](ctx); }, per_case,
+      &output.stats);
   for (CaseResult& result : results) {
     if (!result.row.empty()) output.table.add_row(std::move(result.row));
     for (store::ResultRecord& detail : result.details) {
@@ -56,6 +57,10 @@ ExpOutput run_experiment(const Experiment& experiment,
   // count is the table's, not the sweep's.
   output.stats.items_produced = output.table.row_count();
   if (experiment.notes) output.notes = experiment.notes(ctx);
+  if (profiled) {
+    obs::record_task_event(obs::TaskEventKind::kExpEnd, 0, label,
+                           output.stats.sweep_id);
+  }
   output.wall_micros = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)

@@ -1,7 +1,5 @@
 #include "obs/json.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -41,21 +39,6 @@ void append_json_string(std::string& out, std::string_view s) {
     }
   }
   out += '"';
-}
-
-bool write_json_file(const std::string& path, const std::string& json,
-                     const char* kind) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "obs: cannot write %s %s\n", kind, path.c_str());
-    return false;
-  }
-  out << json;
-  if (!out.flush().good()) {
-    std::fprintf(stderr, "obs: short write to %s %s\n", kind, path.c_str());
-    return false;
-  }
-  return true;
 }
 
 void JsonCursor::fail(const std::string& what) const {

@@ -18,12 +18,6 @@ namespace rdv::obs {
 /// every other byte (UTF-8 included) verbatim.
 void append_json_string(std::string& out, std::string_view s);
 
-/// Writes a rendered sidecar to `path`. Returns false, with a note on
-/// stderr naming the sidecar `kind` (never stdout), when the file
-/// cannot be written in full.
-bool write_json_file(const std::string& path, const std::string& json,
-                     const char* kind);
-
 /// Strict recursive-descent reader for the integer-and-string JSON the
 /// obs sidecars use. Every error throws std::runtime_error reading
 /// "<document>: <what> at offset <n>", so a truncated or hand-edited

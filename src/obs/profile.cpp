@@ -9,7 +9,6 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace rdv::obs {
 
@@ -107,6 +106,7 @@ SweepProfile parse_sweep(JsonCursor& cursor) {
     if (key == "id") s.id = cursor.parse_uint();
     else if (key == "chunks") s.chunks = cursor.parse_uint();
     else if (key == "items") s.items = cursor.parse_uint();
+    else if (key == "chunk") s.chunk_size = cursor.parse_uint();
     else if (key == "tid") s.tid = parse_tid(cursor);
     else if (key == "begin") s.begin_t = cursor.parse_uint();
     else if (key == "end") s.end_t = cursor.parse_uint();
@@ -115,7 +115,20 @@ SweepProfile parse_sweep(JsonCursor& cursor) {
   return s;
 }
 
-constexpr std::uint64_t kProfileFormat = 1;
+ExpProfile parse_exp(JsonCursor& cursor) {
+  ExpProfile x;
+  cursor.parse_object([&](std::string key) {
+    if (key == "id") x.id = cursor.parse_string();
+    else if (key == "sweep") x.sweep = cursor.parse_uint();
+    else if (key == "tid") x.tid = parse_tid(cursor);
+    else if (key == "begin") x.begin_t = cursor.parse_uint();
+    else if (key == "end") x.end_t = cursor.parse_uint();
+    else cursor.fail("unknown exp field '" + key + "'");
+  });
+  return x;
+}
+
+constexpr std::uint64_t kProfileFormat = 2;
 
 /// Flow ids for the chunk-end -> merge-begin arrows live in a distinct
 /// id space from the submit -> begin arrows (which use the task id).
@@ -253,6 +266,9 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
   std::map<std::pair<std::uint64_t, std::uint64_t>, MergeProfile> merges;
   std::unordered_map<std::uint32_t, std::uint64_t> pending_park;
   std::map<std::uint64_t, SweepProfile> sweeps;
+  // Open experiments by (thread, label): their begin timestamps.
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t>
+      pending_exp;
 
   for (const TaskEvent& e : events) {
     if (profile.t_min == 0 || e.t_micros < profile.t_min) {
@@ -309,7 +325,7 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
       case TaskEventKind::kSweepBegin: {
         SweepProfile& s = sweeps[e.a];
         s.id = e.a;
-        s.chunks = e.b;
+        s.chunk_size = e.b;
         s.tid = e.tid;
         s.begin_t = e.t_micros;
         break;
@@ -318,6 +334,9 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
         SweepProfile& s = sweeps[e.a];
         s.id = e.a;
         s.items = e.b;
+        if (s.chunk_size != 0) {
+          s.chunks = (s.items + s.chunk_size - 1) / s.chunk_size;
+        }
         s.end_t = e.t_micros;
         break;
       }
@@ -344,6 +363,17 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
         m.end_t = e.t_micros;
         break;
       }
+      case TaskEventKind::kExpBegin:
+        pending_exp[{e.tid, e.a}] = e.t_micros;
+        break;
+      case TaskEventKind::kExpEnd: {
+        const auto it = pending_exp.find({e.tid, e.a});
+        if (it == pending_exp.end()) break;
+        profile.exps.push_back(
+            ExpProfile{label_name(e.a), e.b, e.tid, it->second, e.t_micros});
+        pending_exp.erase(it);
+        break;
+      }
     }
   }
 
@@ -357,11 +387,11 @@ Profile build_profile(const std::vector<TaskEvent>& events) {
   for (const auto& [key, m] : merges) profile.merges.push_back(m);
   profile.sweeps.reserve(sweeps.size());
   for (const auto& [id, s] : sweeps) profile.sweeps.push_back(s);
-  std::sort(profile.parks.begin(), profile.parks.end(),
-            [](const ParkInterval& a, const ParkInterval& b) {
-              return a.begin_t != b.begin_t ? a.begin_t < b.begin_t
-                                           : a.tid < b.tid;
-            });
+  const auto by_begin_then_tid = [](const auto& a, const auto& b) {
+    return a.begin_t != b.begin_t ? a.begin_t < b.begin_t : a.tid < b.tid;
+  };
+  std::sort(profile.parks.begin(), profile.parks.end(), by_begin_then_tid);
+  std::sort(profile.exps.begin(), profile.exps.end(), by_begin_then_tid);
   return profile;
 }
 
@@ -472,9 +502,22 @@ std::string render_profile_json(const Profile& profile) {
     out += "{\"id\":" + std::to_string(s.id);
     out += ",\"chunks\":" + std::to_string(s.chunks);
     out += ",\"items\":" + std::to_string(s.items);
+    out += ",\"chunk\":" + std::to_string(s.chunk_size);
     out += ",\"tid\":" + std::to_string(s.tid);
     out += ",\"begin\":" + std::to_string(s.begin_t);
     out += ",\"end\":" + std::to_string(s.end_t);
+    out += '}';
+  }
+  out += "],\"exps\":[";
+  for (std::size_t i = 0; i < profile.exps.size(); ++i) {
+    const ExpProfile& x = profile.exps[i];
+    if (i != 0) out += ',';
+    out += "{\"id\":";
+    append_json_string(out, x.id);
+    out += ",\"sweep\":" + std::to_string(x.sweep);
+    out += ",\"tid\":" + std::to_string(x.tid);
+    out += ",\"begin\":" + std::to_string(x.begin_t);
+    out += ",\"end\":" + std::to_string(x.end_t);
     out += '}';
   }
   out += "]}";
@@ -517,6 +560,10 @@ bool parse_profile_json(const std::string& text, Profile* out) {
         cursor.parse_array([&] {
           profile.sweeps.push_back(parse_sweep(cursor));
         });
+      } else if (key == "exps") {
+        cursor.parse_array([&] {
+          profile.exps.push_back(parse_exp(cursor));
+        });
       } else {
         cursor.fail("unknown top-level key '" + key + "'");
       }
@@ -538,6 +585,10 @@ std::string render_profile_report(const Profile& profile) {
                     format_ms(clamped_sub(profile.t_max, profile.t_min)) +
                     " ms\n";
 
+  for (const ExpProfile& x : profile.exps) {
+    out += "experiment " + x.id + ": wall " + format_ms(x.micros()) +
+           " ms, case sweep " + std::to_string(x.sweep) + "\n";
+  }
   for (const SweepProfile& s : profile.sweeps) {
     out += "sweep " + std::to_string(s.id) + ": " +
            std::to_string(s.chunks) + " chunks, " +
@@ -686,33 +737,56 @@ std::string render_profile_diff(const Profile& a, const Profile& b) {
   return out;
 }
 
-std::string render_task_trace_events(const Profile& profile) {
-  std::string out;
-  const auto append = [&out](const std::string& event) {
-    if (!out.empty()) out += ',';
+std::string render_chrome_trace(const Profile& profile) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  bool first = true;
+  const auto append = [&out, &first](const std::string& event) {
+    if (!first) out += ',';
+    first = false;
     out += event;
   };
+  // One complete ("X") slice; `args` is a pre-rendered object or empty.
+  const auto slice = [&append](const std::string& quoted_name,
+                               const char* cat, std::uint32_t tid,
+                               std::uint64_t ts, std::uint64_t dur,
+                               const std::string& args) {
+    append("{\"name\":" + quoted_name + ",\"cat\":\"" + cat +
+           "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+           ",\"ts\":" + std::to_string(ts) + ",\"dur\":" +
+           std::to_string(dur) + (args.empty() ? "" : ",\"args\":" + args) +
+           "}");
+  };
+  const auto quoted = [](std::string_view name) {
+    std::string q;
+    append_json_string(q, name);
+    return q;
+  };
+  std::unordered_map<std::uint64_t, const SweepProfile*> sweep_by_id;
+  for (const SweepProfile& s : profile.sweeps) sweep_by_id[s.id] = &s;
+  for (const ExpProfile& x : profile.exps) {
+    const auto it = sweep_by_id.find(x.sweep);
+    const std::uint64_t cases =
+        it != sweep_by_id.end() ? it->second->chunks : 0;
+    slice(quoted(x.id), "exp", x.tid, x.begin_t, x.micros(),
+          "{\"cases\":" + std::to_string(cases) +
+              ",\"sweep\":" + std::to_string(x.sweep) + "}");
+  }
   for (const SweepProfile& s : profile.sweeps) {
     if (s.end_t == 0) continue;
-    append("{\"name\":\"sweep " + std::to_string(s.id) +
-           "\",\"cat\":\"sweep\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(s.tid) + ",\"ts\":" + std::to_string(s.begin_t) +
-           ",\"dur\":" + std::to_string(s.micros()) +
-           ",\"args\":{\"chunks\":" + std::to_string(s.chunks) +
-           ",\"items\":" + std::to_string(s.items) + "}}");
+    slice(quoted("sweep " + std::to_string(s.id)), "sweep", s.tid,
+          s.begin_t, s.micros(),
+          "{\"chunks\":" + std::to_string(s.chunks) +
+              ",\"items\":" + std::to_string(s.items) +
+              ",\"chunk\":" + std::to_string(s.chunk_size) + "}");
   }
   for (const TaskProfile& t : profile.tasks) {
     if (t.begin_t != 0 && t.end_t != 0) {
-      std::string name = t.is_chunk
-                             ? "chunk " + std::to_string(t.sweep) + ":" +
-                                   std::to_string(t.chunk)
-                             : "task " + std::to_string(t.id);
-      append("{\"name\":\"" + name +
-             "\",\"cat\":\"task\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-             std::to_string(t.exec_tid) +
-             ",\"ts\":" + std::to_string(t.begin_t) +
-             ",\"dur\":" + std::to_string(t.exec_micros()) +
-             ",\"args\":{\"task\":" + std::to_string(t.id) + "}}");
+      const std::string name = t.is_chunk
+                                   ? "chunk " + std::to_string(t.sweep) +
+                                         ":" + std::to_string(t.chunk)
+                                   : "task " + std::to_string(t.id);
+      slice(quoted(name), "task", t.exec_tid, t.begin_t, t.exec_micros(),
+            "{\"task\":" + std::to_string(t.id) + "}");
     }
     // Flow arrows: submit ("s") -> optional steal step ("t") -> begin
     // ("f"). Chrome draws one arrow chain per flow id.
@@ -739,12 +813,10 @@ std::string render_task_trace_events(const Profile& profile) {
   }
   for (const MergeProfile& m : profile.merges) {
     if (m.end_t == 0) continue;
-    append("{\"name\":\"merge " + std::to_string(m.sweep) + ":" +
-           std::to_string(m.chunk) +
-           "\",\"cat\":\"sweep\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(m.tid) + ",\"ts\":" + std::to_string(m.begin_t) +
-           ",\"dur\":" + std::to_string(m.micros()) +
-           ",\"args\":{\"chunk\":" + std::to_string(m.chunk) + "}}");
+    slice(quoted("merge " + std::to_string(m.sweep) + ":" +
+                 std::to_string(m.chunk)),
+          "sweep", m.tid, m.begin_t, m.micros(),
+          "{\"chunk\":" + std::to_string(m.chunk) + "}");
     // Second flow: the chunk's task end -> its merge begin, in a
     // distinct id space so it never collides with the submit flows.
     if (const auto it = chunk_tasks.find({m.sweep, m.chunk});
@@ -761,19 +833,12 @@ std::string render_task_trace_events(const Profile& profile) {
              "}");
     }
   }
+  for (const ParkInterval& p : profile.parks) {
+    slice("\"park\"", "pool", p.tid, p.begin_t,
+          clamped_sub(p.end_t, p.begin_t), "");
+  }
+  out += "]}";
   return out;
-}
-
-bool write_profile(const std::string& path) {
-  const Profile profile = build_profile(drain_task_events());
-  return write_json_file(path, render_profile_json(profile), "profile");
-}
-
-bool write_chrome_trace_with_tasks(const std::string& path) {
-  const Profile profile = build_profile(drain_task_events());
-  return write_json_file(
-      path, render_chrome_trace(drain_trace(), render_task_trace_events(profile)),
-      "trace");
 }
 
 }  // namespace rdv::obs

@@ -9,17 +9,17 @@
 
 /// Post-run scheduler profile analyzer (ISSUE 9 tentpole): turns the
 /// raw task-event stream (obs/task_events.hpp) into a causal model of
-/// a run — per-task lifecycles stitched across threads, per-sweep task
-/// DAGs, critical paths with per-stage attribution, thread busy/park
-/// timelines, queue/steal latency histograms, and the thundering-herd
-/// factor (cv wakeups per useful task) that motivates the per-worker
-/// parking rewrite on the roadmap.
+/// a run — experiment intervals, per-task lifecycles stitched across
+/// threads, per-sweep task DAGs, critical paths with per-stage
+/// attribution, thread busy/park timelines, queue/steal latency
+/// histograms, and the thundering-herd factor (cv wakeups per useful
+/// task) that motivates the per-worker parking rewrite on the roadmap.
 ///
 /// The profile round-trips through a JSON sidecar (`rdv_bench
 /// --profile-out`), so the `rdv_profile` CLI can re-analyze, compare,
-/// and rank long after the run. Like every obs surface it is
-/// sidecar-only: building or rendering a profile never touches stdout
-/// or a result byte.
+/// and rank long after the run, and it renders the run's Chrome trace
+/// (`--trace-out`). Like every obs surface it is sidecar-only: building
+/// or rendering a profile never touches stdout or a result byte.
 namespace rdv::obs {
 
 /// One pool task's reconstructed lifecycle. Timestamps are micros on
@@ -79,9 +79,27 @@ struct ParkInterval {
 /// One sweep_map invocation.
 struct SweepProfile {
   std::uint64_t id = 0;
+  /// Chunk count, derived from items and chunk_size at the sweep's end.
   std::uint64_t chunks = 0;
   std::uint64_t items = 0;
+  /// Effective items per chunk (the auto-sized value by default).
+  std::uint64_t chunk_size = 0;
   /// The scheduling/merging thread.
+  std::uint32_t tid = 0;
+  std::uint64_t begin_t = 0;
+  std::uint64_t end_t = 0;
+
+  [[nodiscard]] std::uint64_t micros() const noexcept {
+    return end_t > begin_t ? end_t - begin_t : 0;
+  }
+};
+
+/// One run_experiment call.
+struct ExpProfile {
+  /// The experiment id.
+  std::string id;
+  /// Its case sweep (one case per chunk); 0 when none was recorded.
+  std::uint64_t sweep = 0;
   std::uint32_t tid = 0;
   std::uint64_t begin_t = 0;
   std::uint64_t end_t = 0;
@@ -104,6 +122,7 @@ struct Profile {
   std::vector<MergeProfile> merges;  ///< sorted by (sweep, chunk)
   std::vector<ParkInterval> parks;   ///< sorted by (begin_t, tid)
   std::vector<SweepProfile> sweeps;  ///< sorted by id
+  std::vector<ExpProfile> exps;      ///< sorted by (begin_t, tid)
 };
 
 /// Reconstructs the profile from a drained event stream
@@ -157,7 +176,7 @@ struct CriticalPath {
 [[nodiscard]] CriticalPath critical_path(const Profile& profile,
                                          std::uint64_t sweep);
 
-/// Deterministic JSON sidecar (format 1): name-stable keys, integer
+/// Deterministic JSON sidecar (format 2): name-stable keys, integer
 /// micros, arrays in the Profile's sorted orders.
 [[nodiscard]] std::string render_profile_json(const Profile& profile);
 
@@ -166,7 +185,8 @@ struct CriticalPath {
 [[nodiscard]] bool parse_profile_json(const std::string& text,
                                       Profile* out);
 
-/// Human report: sweeps with critical-path attribution, per-thread
+/// Human report: experiments with their walls and case sweeps, sweeps
+/// with critical-path attribution, per-thread
 /// utilization, queue/steal latency log2 histograms, steal ratio, and
 /// the thundering-herd factor.
 [[nodiscard]] std::string render_profile_report(const Profile& profile);
@@ -180,20 +200,12 @@ struct CriticalPath {
 [[nodiscard]] std::string render_profile_diff(const Profile& a,
                                               const Profile& b);
 
-/// Chrome-trace fragment (comma-joined event objects, no brackets) for
-/// render_chrome_trace's extra_events hook: an "X" slice per task
-/// execution / merge / sweep, plus flow events ("s" at submit, "t" at
-/// a steal, "f" at begin; a second flow from chunk end to its merge)
-/// stitching each lifecycle across thread rows.
-[[nodiscard]] std::string render_task_trace_events(const Profile& profile);
-
-/// drain_task_events + build + render + write. Returns false when the
-/// file cannot be written (reported on stderr, never stdout).
-bool write_profile(const std::string& path);
-
-/// Combined sidecar: span trace AND task-profile flow events in one
-/// Chrome trace file (what --trace-out emits when --profile-out is
-/// also active, so the timeline and the causal arrows line up).
-bool write_chrome_trace_with_tasks(const std::string& path);
+/// The run's Chrome trace (chrome://tracing, ui.perfetto.dev): a JSON
+/// object whose traceEvents hold an "X" slice per experiment ("exp"),
+/// sweep, task execution, merge and park, plus flow events ("s" at
+/// submit, "t" at a steal, "f" at begin; a second flow from chunk end
+/// to its merge) stitching each lifecycle across thread rows. ts/dur
+/// are micros, pid 1, tid the thread's obs id.
+[[nodiscard]] std::string render_chrome_trace(const Profile& profile);
 
 }  // namespace rdv::obs

@@ -8,11 +8,10 @@
 #include <vector>
 
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "support/check.hpp"
 
-/// The obs layer's one per-thread event ring, shared by the span
-/// tracer (TraceEvent) and the task-lifecycle log (TaskEvent).
+/// The obs layer's one per-thread event ring, behind the task-lifecycle
+/// log (TaskEvent).
 ///
 ///  - Each recording thread owns one fixed-capacity ring, registered on
 ///    first use under its thread_obs_id(). Rings outlive their threads
@@ -48,8 +47,8 @@ class RingSet {
     capacity_.store(events, std::memory_order_relaxed);
   }
 
-  /// Appends to the calling thread's ring, stamping the ring's tid (and
-  /// its per-ring sequence number, for events that carry one).
+  /// Appends to the calling thread's ring, stamping the ring's tid and
+  /// its per-ring sequence number.
   void record(Event event) {
     Ring& ring = local();
     std::lock_guard lock(ring.mutex);
@@ -59,7 +58,7 @@ class RingSet {
       return;
     }
     event.tid = ring.tid;
-    if constexpr (requires { event.seq; }) event.seq = ring.seq++;
+    event.seq = ring.seq++;
     if (ring.size == capacity) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -146,11 +145,10 @@ class RingSet {
   std::vector<std::shared_ptr<Ring>> rings_;
 };
 
-/// The process's two ring sets: spans (trace.cpp) and task-lifecycle
-/// events (task_events.cpp). Calling either constructs it; anything
-/// that starts long-lived recording threads (support::ThreadPool) calls
-/// both first, so the sets outlive those threads at exit.
-[[nodiscard]] RingSet<TraceEvent>& span_rings() noexcept;
+/// The process's ring set of task-lifecycle events (task_events.cpp).
+/// Calling it constructs it; anything that starts long-lived recording
+/// threads (support::ThreadPool) calls it first, so the set outlives
+/// those threads at exit.
 [[nodiscard]] RingSet<TaskEvent>& task_rings() noexcept;
 
 }  // namespace rdv::obs

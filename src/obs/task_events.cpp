@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
+#include "support/check.hpp"
 
 namespace rdv::obs {
 
@@ -13,6 +16,16 @@ namespace {
 std::atomic<std::uint64_t> g_next_task{1};
 std::atomic<std::uint64_t> g_next_sweep{1};
 std::atomic<std::uint32_t> g_next_thread{0};
+
+struct LabelTable {
+  support::RankedMutex mutex{support::LockRank::kObsRing};
+  std::vector<std::string> names;
+};
+
+LabelTable& labels() {
+  static LabelTable table;
+  return table;
+}
 
 }  // namespace
 
@@ -41,6 +54,8 @@ const char* task_event_kind_name(TaskEventKind kind) noexcept {
     case TaskEventKind::kChunkTask: return "chunk_task";
     case TaskEventKind::kMergeBegin: return "merge_begin";
     case TaskEventKind::kMergeEnd: return "merge_end";
+    case TaskEventKind::kExpBegin: return "exp_begin";
+    case TaskEventKind::kExpEnd: return "exp_end";
   }
   return "?";
 }
@@ -61,6 +76,23 @@ std::uint64_t next_task_id() noexcept {
 
 std::uint64_t next_sweep_id() noexcept {
   return g_next_sweep.fetch_add(1, std::memory_order_relaxed);
+}
+
+std::uint64_t intern_label(std::string_view name) {
+  LabelTable& table = labels();
+  std::lock_guard lock(table.mutex);
+  const auto it = std::find(table.names.begin(), table.names.end(), name);
+  if (it != table.names.end()) {
+    return static_cast<std::uint64_t>(it - table.names.begin());
+  }
+  table.names.emplace_back(name);
+  return table.names.size() - 1;
+}
+
+std::string label_name(std::uint64_t id) {
+  LabelTable& table = labels();
+  std::lock_guard lock(table.mutex);
+  return id < table.names.size() ? table.names[id] : std::string();
 }
 
 void record_task_event(TaskEventKind kind, std::uint64_t task,

@@ -2,20 +2,25 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
-/// Task-lifecycle event log (ISSUE 9 tentpole): per-thread rings of
-/// fixed-size scheduler events — submit / dequeue / steal / begin /
-/// end / park / unpark from the thread pool, sweep / chunk / merge
-/// markers from the pipelined sweep runner — carrying STABLE TASK IDS,
-/// so a post-run analyzer (obs/profile.hpp) can stitch one task's
-/// lifecycle across threads: who submitted it, who stole it, when it
-/// ran, and which merge consumed its output.
+/// Task-lifecycle event log, the run's one timeline recorder: per-thread
+/// rings of fixed-size events — submit / dequeue / steal / begin / end
+/// / park / unpark from the thread pool, sweep / chunk / merge markers
+/// from the pipelined sweep runner, experiment markers from the
+/// experiment runner — carrying STABLE TASK IDS, so a post-run analyzer
+/// (obs/profile.hpp) can stitch one task's lifecycle across threads:
+/// who submitted it, who stole it, when it ran, and which merge
+/// consumed its output. The Chrome trace and the scheduler profile are
+/// both rendered from it.
 ///
-/// Design mirrors the span tracer (obs/trace.hpp):
+/// Design:
 ///  - OFF by default; when off, the instrumentation costs one relaxed
 ///    atomic load per call site and records nothing. `rdv_bench
-///    --profile-out` (or set_task_events_enabled) switches it on.
+///    --trace-out` or `--profile-out` (or set_task_events_enabled)
+///    switches it on.
 ///  - Each recording thread owns one fixed-capacity ring; a full ring
 ///    overwrites its oldest event (counted in the dropped tally) —
 ///    recording never blocks and never allocates. Events are plain
@@ -24,15 +29,13 @@
 ///    drain_task_events() snapshots every ring and merges the events
 ///    into one deterministic order.
 ///
-/// Like metrics and traces, the event log is sidecar-only: nothing
-/// here touches stdout or a result byte.
+/// Like metrics, the event log is sidecar-only: nothing here touches
+/// stdout or a result byte.
 namespace rdv::obs {
 
-/// Stable per-thread observability id, shared by the span tracer's
-/// rings and the task-event rings (assigned once per thread, in
-/// first-use order). Sharing one id space is what lets Chrome-trace
-/// flow events stitched from task events land on the same timeline
-/// rows as that thread's spans.
+/// Stable per-thread observability id: the task-event rings' tid and
+/// the Chrome trace's timeline row (assigned once per thread, in
+/// first-use order).
 [[nodiscard]] std::uint32_t thread_obs_id() noexcept;
 
 enum class TaskEventKind : std::uint8_t {
@@ -50,8 +53,8 @@ enum class TaskEventKind : std::uint8_t {
   /// Pool: the thread went to sleep on the wake cv / woke from it.
   kPark,
   kUnpark,
-  /// Sweep: sweep_map entry/exit on the merging thread.
-  /// a = sweep id, b = chunk count (begin) / items produced (end).
+  /// Sweep: sweep_map entry/exit on the merging thread. a = sweep id,
+  /// b = effective items per chunk (begin) / items produced (end).
   kSweepBegin,
   kSweepEnd,
   /// Sweep: labels a just-submitted pool task as chunk `b` of sweep
@@ -61,6 +64,11 @@ enum class TaskEventKind : std::uint8_t {
   /// merging thread.
   kMergeBegin,
   kMergeEnd,
+  /// Experiment: run_experiment entry/exit on the calling thread.
+  /// a = the experiment id's label (intern_label); at the end b = the
+  /// sweep id of its case sweep (one case per chunk), 0 when none ran.
+  kExpBegin,
+  kExpEnd,
 };
 
 [[nodiscard]] const char* task_event_kind_name(TaskEventKind kind) noexcept;
@@ -94,6 +102,14 @@ void set_task_event_ring_capacity(std::size_t events) noexcept;
 /// pool) the assigned ids are deterministic too.
 [[nodiscard]] std::uint64_t next_task_id() noexcept;
 [[nodiscard]] std::uint64_t next_sweep_id() noexcept;
+
+/// Process-wide label table: a stable id (0-based) per distinct name,
+/// so fixed-size events can name things (experiment ids) without
+/// pointing into memory their owner may free before the drain. Ids
+/// and names live until exit.
+[[nodiscard]] std::uint64_t intern_label(std::string_view name);
+/// The name interned as `id`; empty for an unknown id.
+[[nodiscard]] std::string label_name(std::uint64_t id);
 
 /// Records one event on the calling thread's ring (overwrites the
 /// oldest when full). No-op when disabled — callers on hot paths

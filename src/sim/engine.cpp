@@ -4,27 +4,19 @@
 
 namespace rdv::sim {
 
-// The two-agent engine is the k = 2 specialization of run_multi with a
-// stop-on-first-meeting policy; all Section 1 semantics (meeting =
-// same node same round, unnoticed crossings, time from the later
-// agent's start) live in MultiRunner.
+// The two-agent engine is the k = 2 specialization of run_multi, where
+// the pair's first meeting is a gathering and ends the run. All Section
+// 1 semantics (meeting = same node same round, unnoticed crossings,
+// time from the later agent's start) live in MultiRunner.
 RunResult run_pair(const graph::ITopology& g,
                    const AgentProgram& program_earlier,
                    const AgentProgram& program_later, graph::Node start_earlier,
                    graph::Node start_later, std::uint64_t delay,
                    const RunConfig& config) {
-  MultiRunConfig multi_config;
-  multi_config.max_rounds = config.max_rounds;
-  multi_config.max_zero_wait_spin = config.max_zero_wait_spin;
-  multi_config.record_trace = config.record_trace;
-  multi_config.trace_limit = config.trace_limit;
-  multi_config.stop_on_pair_a = 0;
-  multi_config.stop_on_pair_b = 1;
-
   std::vector<AgentSpec> specs;
   specs.push_back(AgentSpec{program_earlier, start_earlier, 0});
   specs.push_back(AgentSpec{program_later, start_later, delay});
-  MultiRunResult multi = run_multi(g, specs, multi_config);
+  MultiRunResult multi = run_multi(g, specs, config);
 
   RunResult out;
   const std::uint64_t meeting = multi.meeting_of(0, 1, 2);

@@ -6,6 +6,7 @@
 
 #include "graph/topology.hpp"
 #include "sim/agent.hpp"
+#include "sim/multi_engine.hpp"
 #include "sim/trace.hpp"
 
 /// Synchronous two-agent rendezvous engine (the model of Section 1).
@@ -18,18 +19,6 @@
 /// crossings for diagnostics). The reported rendezvous time is counted
 /// from the later agent's start, the paper's cost measure.
 namespace rdv::sim {
-
-struct RunConfig {
-  /// Hard cap on absolute rounds; runs that do not meet by the cap are
-  /// reported as not met. (Budgets inside algorithms saturate, so the
-  /// cap is the only thing bounding a run on an infeasible STIC.)
-  std::uint64_t max_rounds = 1'000'000;
-  /// Abort threshold for agents issuing zero-round waits back-to-back.
-  std::uint32_t max_zero_wait_spin = 1u << 20;
-  /// Record a bounded move trace for diagnostics.
-  bool record_trace = false;
-  std::size_t trace_limit = 4096;
-};
 
 struct RunResult {
   bool met = false;

@@ -54,7 +54,7 @@ class MultiRunner {
  public:
   /// With `walk` set the runner records the moves of its single agent
   /// there, and a lone agent does not count as gathered.
-  MultiRunner(const ITopology& g, const MultiRunConfig& config,
+  MultiRunner(const ITopology& g, const RunConfig& config,
               std::size_t k, SoloWalk* walk = nullptr)
       : g_(g), config_(config), agents_(k), walk_(walk) {
     if (config.record_trace) result_.trace.enable(config.trace_limit);
@@ -96,7 +96,6 @@ class MultiRunner {
 
       // Meeting bookkeeping + termination checks.
       bool all_same = unspawned == 0 && walk_ == nullptr;
-      bool stop_pair_met = false;
       for (std::size_t i = 0; i < k; ++i) {
         if (!agents_[i].started) continue;
         if (agents_[i].pos != agents_[0].pos) all_same = false;
@@ -106,10 +105,6 @@ class MultiRunner {
           }
           auto& cell = result_.first_meeting[i * k + j];
           if (cell == kNever) cell = round;
-          if (static_cast<int>(i) == config_.stop_on_pair_a &&
-              static_cast<int>(j) == config_.stop_on_pair_b) {
-            stop_pair_met = true;
-          }
         }
       }
       if (all_same) {
@@ -118,7 +113,6 @@ class MultiRunner {
         result_.gather_from_last_start = round - last_start;
         return finish(round);
       }
-      if (stop_pair_met) return finish(round);
 
       // Next event; every agent started and finished ends the run.
       bool everything_done = unspawned == 0;
@@ -253,7 +247,7 @@ class MultiRunner {
   }
 
   const ITopology& g_;
-  const MultiRunConfig& config_;
+  const RunConfig& config_;
   MultiRunResult result_;
   std::vector<AgentState> agents_;
   SoloWalk* walk_;
@@ -289,19 +283,13 @@ struct WalkReader {
 
 MultiRunResult run_multi(const ITopology& g,
                          const std::vector<AgentSpec>& agents,
-                         const MultiRunConfig& config) {
-  // The meeting scan only visits ordered pairs (i < j); normalize the
-  // stop pair so callers may pass it in either order.
-  MultiRunConfig normalized = config;
-  if (normalized.stop_on_pair_a > normalized.stop_on_pair_b) {
-    std::swap(normalized.stop_on_pair_a, normalized.stop_on_pair_b);
-  }
-  MultiRunner runner(g, normalized, agents.size());
+                         const RunConfig& config) {
+  MultiRunner runner(g, config, agents.size());
   return runner.run(agents);
 }
 
 SoloWalk record_walk(const ITopology& g, const AgentProgram& program,
-                     Node start, const MultiRunConfig& config) {
+                     Node start, const RunConfig& config) {
   static obs::Counter& walks = obs::counter("sim.solo_walks");
   walks.add();
   const std::vector<AgentSpec> specs{AgentSpec{program, start, 0}};

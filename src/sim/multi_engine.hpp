@@ -22,15 +22,16 @@ struct AgentSpec {
   std::uint64_t start_round = 0;
 };
 
-struct MultiRunConfig {
+struct RunConfig {
+  /// Hard cap on absolute rounds; runs that do not meet by the cap are
+  /// reported as not met. (Budgets inside algorithms saturate, so the
+  /// cap is the only thing bounding a run on an infeasible STIC.)
   std::uint64_t max_rounds = 1'000'000;
+  /// Abort threshold for agents issuing zero-round waits back-to-back.
   std::uint32_t max_zero_wait_spin = 1u << 20;
+  /// Record a bounded move trace for diagnostics.
   bool record_trace = false;
   std::size_t trace_limit = 4096;
-  /// Stop as soon as the given pair (indices into the spec vector) has
-  /// met; -1 disables. Used by the pairwise wrapper.
-  int stop_on_pair_a = -1;
-  int stop_on_pair_b = -1;
 };
 
 inline constexpr std::uint64_t kNever = static_cast<std::uint64_t>(-1);
@@ -60,11 +61,11 @@ struct MultiRunResult {
   }
 };
 
-/// Runs all agents; terminates on gathering, on the configured pair
-/// meeting, on every program finishing, or at the round cap.
+/// Runs all agents; terminates on gathering, on every program
+/// finishing, or at the round cap.
 [[nodiscard]] MultiRunResult run_multi(const graph::ITopology& g,
                                        const std::vector<AgentSpec>& agents,
-                                       const MultiRunConfig& config = {});
+                                       const RunConfig& config = {});
 
 /// One agent's walk alone, from its start up to the round cap. Agents
 /// see only degrees, entry ports and their own clocks (Section 1), so
@@ -87,7 +88,7 @@ struct SoloWalk {
 [[nodiscard]] SoloWalk record_walk(const graph::ITopology& g,
                                    const AgentProgram& program,
                                    graph::Node start,
-                                   const MultiRunConfig& config);
+                                   const RunConfig& config);
 
 /// One graph's moves as a flat table, built once per graph: port p from
 /// v leads to to[v * width + p]. merge_walks replays moves through it,

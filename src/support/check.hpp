@@ -55,7 +55,7 @@ enum class LockRank : std::uint32_t {
   kPoolSleep = 20,    ///< ThreadPool epoch/sleep mutex (the park cv).
   kCacheShard = 30,   ///< ShardedLruStore per-shard mutexes.
   kObsRegistry = 50,  ///< obs metrics Registry name/source maps.
-  kObsRing = 60,      ///< obs span/task-event rings + ring directories.
+  kObsRing = 60,      ///< obs task-event rings, ring directory, labels.
 };
 
 [[nodiscard]] inline const char* lock_rank_name(LockRank rank) noexcept {

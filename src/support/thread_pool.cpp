@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 
 namespace rdv::support {
 
@@ -46,7 +45,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   // thread also takes its obs id before its workers take theirs.
   (void)pool_metrics();
   (void)obs::thread_obs_id();
-  (void)obs::span_rings();
   (void)obs::task_rings();
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -230,8 +228,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       run_task(task);
       continue;
     }
-    const bool traced = obs::trace_enabled();
-    const std::uint64_t park_start = traced ? obs::now_micros() : 0;
     obs::record_task_event(obs::TaskEventKind::kPark);
     {
       std::unique_lock lock(sleep_mutex_);
@@ -245,10 +241,6 @@ void ThreadPool::worker_loop(std::size_t index) {
       pool_metrics().wakeups.add();
     }
     obs::record_task_event(obs::TaskEventKind::kUnpark);
-    if (traced) {
-      obs::record_span("park", "pool", park_start,
-                       obs::now_micros() - park_start);
-    }
   }
 }
 
@@ -262,7 +254,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
   // returns (e.g. a test gating a task on a promise). The tag narrows
   // shared-queue/steal pops to the awaited batch for the same reason.
   const std::size_t self = self_index();
-  obs::Span span("pool", self != kExternal ? "assist" : "assist.external");
   for (;;) {
     if (done()) return;
     const std::uint64_t seen = epoch();
@@ -275,8 +266,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
     // for or executing on some other thread. Sleep until anything is
     // submitted or completes (both bump the epoch), then re-check.
     if (done()) return;
-    const bool traced = obs::trace_enabled();
-    const std::uint64_t park_start = traced ? obs::now_micros() : 0;
     obs::record_task_event(obs::TaskEventKind::kPark);
     {
       std::unique_lock lock(sleep_mutex_);
@@ -289,10 +278,6 @@ void ThreadPool::assist_until(const std::function<bool()>& done,
       pool_metrics().wakeups.add();
     }
     obs::record_task_event(obs::TaskEventKind::kUnpark);
-    if (traced) {
-      obs::record_span("park.wait", "pool", park_start,
-                       obs::now_micros() - park_start);
-    }
   }
 }
 

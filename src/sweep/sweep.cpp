@@ -28,13 +28,10 @@ analysis::SweepSummary feasibility_sweep(const graph::Graph& g,
   for (graph::Node v = 0; v < g.size(); ++v) {
     if (class_of[v] == firsts.size()) firsts.push_back(v);
   }
-  sim::MultiRunConfig walk_config;
-  walk_config.max_rounds = run_config.max_rounds;
-  walk_config.max_zero_wait_spin = run_config.max_zero_wait_spin;
   const std::vector<sim::SoloWalk> walks = sweep_map<sim::SoloWalk>(
       firsts.size(),
       [&](std::size_t c) {
-        return sim::record_walk(g, program, firsts[c], walk_config);
+        return sim::record_walk(g, program, firsts[c], run_config);
       },
       sweep_config);
 

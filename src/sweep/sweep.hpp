@@ -13,7 +13,6 @@
 #include "cache/artifact_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 #include "support/thread_pool.hpp"
 
@@ -59,6 +58,8 @@ struct SweepStats {
   std::size_t chunk_size = 0;
   std::size_t chunks_total = 0;
   std::size_t items_produced = 0;
+  /// The sweep's id in the task-event log; 0 when events were off.
+  std::uint64_t sweep_id = 0;
 };
 
 namespace detail {
@@ -100,9 +101,6 @@ std::vector<R> sweep_map(std::size_t n,
       detail::effective_chunk_size(config, n, pool.thread_count());
   const std::size_t chunks =
       n == 0 ? 0 : (n + chunk_size - 1) / chunk_size;
-  obs::Span sweep_span("sweep", "map");
-  sweep_span.arg("items", n);
-  sweep_span.arg("chunk", chunk_size);
   // Profiler markers (ISSUE 9): the sweep id joins this sweep's chunk
   // tasks and merges into one DAG the analyzer can walk. All profiling
   // is sidecar-only — ids are allocated only when enabled, so the off
@@ -111,7 +109,7 @@ std::vector<R> sweep_map(std::size_t n,
   const std::uint64_t sweep_id = profiled ? obs::next_sweep_id() : 0;
   if (profiled) {
     obs::record_task_event(obs::TaskEventKind::kSweepBegin, 0, sweep_id,
-                           chunks);
+                           chunk_size);
   }
 
   std::vector<std::vector<R>> chunk_out(chunks);
@@ -131,8 +129,6 @@ std::vector<R> sweep_map(std::size_t n,
     std::vector<R>* out = &chunk_out[c];
     std::atomic<bool>* done = &chunk_done[c];
     const std::uint64_t task_id = group.submit([lo, hi, out, done, &fn] {
-      obs::Span chunk_span("sweep", "chunk");
-      chunk_span.arg("items", hi - lo);
       detail::SweepMetrics& metrics = detail::sweep_metrics();
       metrics.chunks.add();
       out->reserve(hi - lo);
@@ -156,22 +152,18 @@ std::vector<R> sweep_map(std::size_t n,
           return chunk_done[front].load(std::memory_order_acquire);
         },
         group.tag());
-    {
-      obs::Span merge_span("sweep", "merge");
-      merge_span.arg("chunk", front);
-      // Note for the analyzer: the chunk task publishes chunk_done
-      // BEFORE the pool records its kEnd, so this kMergeBegin may carry
-      // a timestamp slightly before the chunk's kEnd — the critical-path
-      // walk clamps such subtractions.
-      if (profiled) {
-        obs::record_task_event(obs::TaskEventKind::kMergeBegin, 0,
-                               sweep_id, front);
-      }
-      for (R& r : chunk_out[front]) merged.push_back(std::move(r));
-      if (profiled) {
-        obs::record_task_event(obs::TaskEventKind::kMergeEnd, 0, sweep_id,
-                               front);
-      }
+    // Note for the analyzer: the chunk task publishes chunk_done
+    // BEFORE the pool records its kEnd, so this kMergeBegin may carry a
+    // timestamp slightly before the chunk's kEnd — the critical-path
+    // walk clamps such subtractions.
+    if (profiled) {
+      obs::record_task_event(obs::TaskEventKind::kMergeBegin, 0, sweep_id,
+                             front);
+    }
+    for (R& r : chunk_out[front]) merged.push_back(std::move(r));
+    if (profiled) {
+      obs::record_task_event(obs::TaskEventKind::kMergeEnd, 0, sweep_id,
+                             front);
     }
     // Swap-with-empty, not clear(): a merged chunk would otherwise keep
     // its capacity until return.
@@ -183,7 +175,7 @@ std::vector<R> sweep_map(std::size_t n,
                            merged.size());
   }
   if (stats != nullptr) {
-    *stats = SweepStats{n, chunk_size, chunks, merged.size()};
+    *stats = SweepStats{n, chunk_size, chunks, merged.size(), sweep_id};
   }
   return merged;
 }

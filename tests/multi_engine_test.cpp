@@ -64,7 +64,7 @@ TEST(MultiEngine, RotatingRingNeverGathers) {
   for (const Node start : {Node{0}, Node{2}, Node{4}}) {
     specs.push_back({forward_forever(), start, 0});
   }
-  MultiRunConfig config;
+  RunConfig config;
   config.max_rounds = 2000;
   const MultiRunResult r = run_multi(g, specs, config);
   ASSERT_TRUE(r.ok()) << r.error;
@@ -98,7 +98,7 @@ TEST(MultiEngine, WaitingForMommy) {
   specs.push_back({sleeper(), 3, 0});
   specs.push_back({sleeper(), 5, 0});
   specs.push_back({sleeper(), 8, 0});
-  MultiRunConfig config;
+  RunConfig config;
   config.max_rounds = 8 * (y.length() + 2);
   const MultiRunResult r = run_multi(g, specs, config);
   ASSERT_TRUE(r.ok()) << r.error;
@@ -130,7 +130,7 @@ TEST(MultiEngine, StaggeredSpawnsTracked) {
   std::vector<AgentSpec> specs;
   specs.push_back({sleeper(), 0, 0});
   specs.push_back({sleeper(), 3, 7});
-  MultiRunConfig config;
+  RunConfig config;
   config.max_rounds = 100;
   const MultiRunResult r = run_multi(g, specs, config);
   ASSERT_TRUE(r.ok()) << r.error;
@@ -138,63 +138,6 @@ TEST(MultiEngine, StaggeredSpawnsTracked) {
   EXPECT_EQ(r.final_pos[0], 0u);
   EXPECT_EQ(r.final_pos[1], 3u);
   EXPECT_EQ(r.moves[0], 0u);
-}
-
-TEST(MultiEngine, StopOnPairTerminatesBeforeGathering) {
-  // Same scenario as ThreeAgentsGatherOnPath (gathering at round 3),
-  // but the run must stop at round 1 when agents 0 and 1 first meet.
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});  // 0 -> 1 at round 1
-  specs.push_back({sleeper(), 1, 0});     // stays at 1
-  specs.push_back({step_once(0), 2, 2});  // would reach 1 at round 3
-  MultiRunConfig config;
-  config.stop_on_pair_a = 0;
-  config.stop_on_pair_b = 1;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_FALSE(r.gathered);
-  EXPECT_EQ(r.rounds_simulated, 1u);
-  EXPECT_EQ(r.meeting_of(0, 1, 3), 1u);
-  EXPECT_EQ(r.meeting_of(0, 2, 3), kNever);
-  EXPECT_EQ(r.meeting_of(1, 2, 3), kNever);
-}
-
-// Regression: the meeting scan visits ordered pairs (i < j) only, so a
-// reversed stop pair (a > b) used to never trigger and the run silently
-// continued to the cap.
-TEST(MultiEngine, StopOnPairIsOrderInsensitive) {
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});
-  specs.push_back({sleeper(), 1, 0});
-  specs.push_back({step_once(0), 2, 2});
-  MultiRunConfig config;
-  config.stop_on_pair_a = 1;  // reversed on purpose
-  config.stop_on_pair_b = 0;
-  config.max_rounds = 100;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_EQ(r.rounds_simulated, 1u);
-  EXPECT_EQ(r.meeting_of(0, 1, 3), 1u);
-}
-
-TEST(MultiEngine, StopOnPairStillReportsGatheringAtThatRound) {
-  // The stop pair (0, 2) first meets exactly when all three gather;
-  // gathering detection must win over the early stop.
-  const Graph g = families::path_graph(3);
-  std::vector<AgentSpec> specs;
-  specs.push_back({step_once(0), 0, 0});
-  specs.push_back({sleeper(), 1, 0});
-  specs.push_back({step_once(0), 2, 2});
-  MultiRunConfig config;
-  config.stop_on_pair_a = 0;
-  config.stop_on_pair_b = 2;
-  const MultiRunResult r = run_multi(g, specs, config);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_TRUE(r.gathered);
-  EXPECT_EQ(r.gather_round_absolute, 3u);
-  EXPECT_EQ(r.meeting_of(0, 2, 3), 3u);
 }
 
 TEST(MultiEngine, FirstMeetingMatrixForFourAgents) {
@@ -210,7 +153,7 @@ TEST(MultiEngine, FirstMeetingMatrixForFourAgents) {
   specs.push_back({sleeper(), 2, 0});
   specs.push_back({sleeper(), 3, 0});
   specs.push_back({forward_forever(), 2, 0});
-  MultiRunConfig config;
+  RunConfig config;
   config.max_rounds = 40;
   const MultiRunResult r = run_multi(g, specs, config);
   ASSERT_TRUE(r.ok()) << r.error;
@@ -256,7 +199,7 @@ TEST(MultiEngine, GoldenGridForThreeAndFourAgents) {
   options.max_phases = 16;
   const AgentProgram universal = core::universal_rv_program(options);
   const AgentProgram walker = forward_forever();
-  MultiRunConfig config;
+  RunConfig config;
   config.max_rounds = std::uint64_t{1} << 14;
   config.record_trace = true;
   config.trace_limit = std::size_t{1} << 16;

@@ -27,7 +27,6 @@
 #include "obs/metrics_tools.hpp"
 #include "obs/profile.hpp"
 #include "obs/task_events.hpp"
-#include "obs/trace.hpp"
 #include "store/log_tools.hpp"
 #include "store/result_log.hpp"
 #include "support/thread_pool.hpp"
@@ -142,131 +141,6 @@ TEST(Metrics, SnapshotSourcesAreIdempotentByName) {
   Registry::instance().reset_for_tests();
 }
 
-// ---- tracer ----------------------------------------------------------
-
-TEST(Trace, DisabledSpansRecordNothing) {
-  set_trace_enabled(false);
-  clear_trace();
-  {
-    Span span("obs_test", "invisible");
-    span.arg("x", 1);
-  }
-  record_span("also_invisible", "obs_test", 0, 1);
-  for (const TraceEvent& e : drain_trace()) {
-    EXPECT_STRNE(e.category, "obs_test");
-  }
-}
-
-TEST(Trace, RingOverflowDropsOldestAndNeverBlocks) {
-  clear_trace();
-  set_trace_ring_capacity(4);
-  set_trace_enabled(true);
-  // A fresh thread gets a fresh (capacity-4) ring; recording far more
-  // events than capacity must complete (recording never blocks) and
-  // keep exactly the newest four.
-  std::thread([] {
-    for (int i = 0; i < 100; ++i) {
-      const std::string name = "evt" + std::to_string(i);
-      record_span(name, "obs_test_ring", 1000 + static_cast<uint64_t>(i),
-                  1);
-    }
-  }).join();
-  set_trace_enabled(false);
-  set_trace_ring_capacity(16384);
-  std::vector<TraceEvent> mine;
-  for (const TraceEvent& e : drain_trace()) {
-    if (std::string_view(e.category) == "obs_test_ring") mine.push_back(e);
-  }
-  ASSERT_EQ(mine.size(), 4u);
-  EXPECT_STREQ(mine[0].name, "evt96");
-  EXPECT_STREQ(mine[3].name, "evt99");
-  EXPECT_GE(trace_dropped_count(), 96u);
-  clear_trace();
-  EXPECT_EQ(trace_dropped_count(), 0u);
-}
-
-TEST(Trace, ZeroCapacityRingCountsEveryRecordAsDropped) {
-  clear_trace();
-  set_trace_ring_capacity(0);
-  set_trace_enabled(true);
-  std::thread([] {
-    for (int i = 0; i < 5; ++i) record_span("zero", "obs_test_zero", 1, 1);
-  }).join();
-  set_trace_enabled(false);
-  set_trace_ring_capacity(16384);
-  for (const TraceEvent& e : drain_trace()) {
-    EXPECT_STRNE(e.category, "obs_test_zero");
-  }
-  EXPECT_EQ(trace_dropped_count(), 5u);
-  clear_trace();
-}
-
-TEST(Trace, LongNamesTruncateSafely) {
-  clear_trace();
-  set_trace_enabled(true);
-  const std::string longname(200, 'x');
-  record_span(longname, "obs_test_name", 1, 2, "k", 3);
-  set_trace_enabled(false);
-  bool found = false;
-  for (const TraceEvent& e : drain_trace()) {
-    if (std::string_view(e.category) != "obs_test_name") continue;
-    found = true;
-    EXPECT_EQ(std::string_view(e.name).size(), TraceEvent::kNameCapacity);
-    EXPECT_EQ(e.arg_value, 3u);
-  }
-  EXPECT_TRUE(found);
-  clear_trace();
-}
-
-TEST(Trace, ChromeRenderEscapesAndShapes) {
-  TraceEvent e;
-  std::snprintf(e.name, sizeof e.name, "quote\"back\\slash");
-  e.category = "cat";
-  e.start_micros = 10;
-  e.dur_micros = 5;
-  e.tid = 3;
-  e.arg_key = "items";
-  e.arg_value = 42;
-  const std::string json = render_chrome_trace({e});
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":10"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"items\":42}"), std::string::npos);
-}
-
-TEST(Trace, SweepMapSpanCarriesItemsAndEffectiveChunk) {
-  clear_trace();
-  set_trace_enabled(true);
-  {
-    support::ThreadPool pool(4);
-    sweep::SweepConfig config;
-    config.pool = &pool;
-    const std::function<int(std::size_t)> id = [](std::size_t i) {
-      return static_cast<int>(i);
-    };
-    (void)sweep::sweep_map<int>(36, id, config);  // auto: 3 per chunk
-  }
-  set_trace_enabled(false);
-  std::vector<TraceEvent> maps;
-  for (const TraceEvent& e : drain_trace()) {
-    if (std::string_view(e.category) == "sweep" &&
-        std::string_view(e.name) == "map") {
-      maps.push_back(e);
-    }
-  }
-  clear_trace();
-  ASSERT_EQ(maps.size(), 1u);
-  EXPECT_STREQ(maps[0].arg_key, "items");
-  EXPECT_EQ(maps[0].arg_value, 36u);
-  EXPECT_STREQ(maps[0].arg2_key, "chunk");
-  EXPECT_EQ(maps[0].arg2_value, 3u);
-  EXPECT_NE(render_chrome_trace(maps).find("\"args\":{\"items\":36,"
-                                           "\"chunk\":3}"),
-            std::string::npos);
-}
-
 // ---- task-lifecycle events -------------------------------------------
 
 TEST(TaskEvents, DisabledRecordsNothingAndAllocatorsStayMonotone) {
@@ -300,6 +174,34 @@ TEST(TaskEvents, KindNamesAreStable) {
   EXPECT_STREQ(task_event_kind_name(TaskEventKind::kMergeBegin),
                "merge_begin");
   EXPECT_STREQ(task_event_kind_name(TaskEventKind::kMergeEnd), "merge_end");
+  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kExpBegin), "exp_begin");
+  EXPECT_STREQ(task_event_kind_name(TaskEventKind::kExpEnd), "exp_end");
+}
+
+// Events name experiments through the obs label table, so a name
+// outlives the string it was interned from, keeps its full length, and
+// one name interns to one id.
+TEST(TaskEvents, ExpMarkersNameTheExperimentAfterItsOwnerIsGone) {
+  clear_task_events();
+  set_task_events_enabled(true);
+  {
+    const std::string name(200, 'x');
+    const std::uint64_t label = intern_label(name);
+    EXPECT_EQ(intern_label(name), label);
+    EXPECT_NE(intern_label("obs_test_other"), label);
+    std::thread([label] {
+      record_task_event(TaskEventKind::kExpBegin, 0, label);
+      record_task_event(TaskEventKind::kExpEnd, 0, label, 77);
+    }).join();
+  }
+  set_task_events_enabled(false);
+  const Profile profile = build_profile(drain_task_events());
+  clear_task_events();
+  ASSERT_EQ(profile.exps.size(), 1u);
+  EXPECT_EQ(profile.exps[0].id, std::string(200, 'x'));
+  EXPECT_EQ(profile.exps[0].sweep, 77u);
+  EXPECT_LE(profile.exps[0].begin_t, profile.exps[0].end_t);
+  EXPECT_EQ(label_name(999999), "");
 }
 
 TEST(TaskEvents, TinyRingOverflowCountsDropsAndKeepsNewest) {
@@ -678,6 +580,7 @@ Profile sample_profile() {
   sweep.id = 5;
   sweep.chunks = 2;
   sweep.items = 2;
+  sweep.chunk_size = 1;
   sweep.tid = 0;
   sweep.begin_t = 1000;
   sweep.end_t = 2000;
@@ -713,6 +616,7 @@ Profile sample_profile() {
   m1.end_t = 1540;
   profile.merges = {m0, m1};
   profile.parks.push_back(ParkInterval{0, 1100, 1200});
+  profile.exps.push_back(ExpProfile{"sample_exp", 5, 0, 1000, 2000});
   return profile;
 }
 
@@ -755,6 +659,10 @@ TEST(Profile, JsonRoundTripIsByteStable) {
   EXPECT_EQ(parsed.parks.size(), 1u);
   ASSERT_EQ(parsed.sweeps.size(), 1u);
   EXPECT_EQ(parsed.sweeps[0].items, 2u);
+  EXPECT_EQ(parsed.sweeps[0].chunk_size, 1u);
+  ASSERT_EQ(parsed.exps.size(), 1u);
+  EXPECT_EQ(parsed.exps[0].id, "sample_exp");
+  EXPECT_EQ(parsed.exps[0].sweep, 5u);
 }
 
 TEST(Profile, JsonParserIsStrict) {
@@ -766,7 +674,7 @@ TEST(Profile, JsonParserIsStrict) {
   EXPECT_FALSE(parse_profile_json(good.substr(0, good.size() - 2), &out));
   EXPECT_FALSE(parse_profile_json(good + "x", &out));
   std::string bad_format = good;
-  const std::size_t at = bad_format.find("\"format\":1");
+  const std::size_t at = bad_format.find("\"format\":2");
   ASSERT_NE(at, std::string::npos);
   bad_format.replace(at, 10, "\"format\":9");
   EXPECT_FALSE(parse_profile_json(bad_format, &out));
@@ -790,14 +698,56 @@ TEST(Profile, ReportTopDiffAndTraceRendersCarryTheHeadlines) {
   const std::string diff = render_profile_diff(profile, profile);
   EXPECT_NE(diff.find("tasks executed"), std::string::npos);
 
-  const std::string fragment = render_task_trace_events(profile);
-  EXPECT_NE(fragment.find("\"cat\":\"flow\""), std::string::npos);
-  EXPECT_NE(fragment.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(fragment.find("\"ph\":\"f\""), std::string::npos);
-  // The fragment splices into a well-formed Chrome trace.
-  const std::string trace = render_chrome_trace({}, fragment);
-  EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(trace.find(fragment), std::string::npos);
+  const std::string trace = render_chrome_trace(profile);
+  EXPECT_NE(trace.find("\"cat\":\"flow\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\":\"f\""), std::string::npos);
+}
+
+TEST(Profile, ChromeTraceEscapesAndShapes) {
+  Profile profile = sample_profile();
+  profile.exps[0].id = "quote\"back\\slash";
+  const std::string json = render_chrome_trace(profile);
+  EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
+            0u);
+  EXPECT_EQ(json.substr(json.size() - 2), "]}");
+  EXPECT_NE(json.find("{\"name\":\"quote\\\"back\\\\slash\",\"cat\":\"exp\","
+                      "\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":1000,"
+                      "\"dur\":1000,\"args\":{\"cases\":2,\"sweep\":5}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"chunk 5:0\",\"cat\":\"task\",\"ph\":\"X\","
+                      "\"pid\":1,\"tid\":1,\"ts\":1020,\"dur\":480,"
+                      "\"args\":{\"task\":11}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"merge 5:1\",\"cat\":\"sweep\","),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"park\",\"cat\":\"pool\",\"ph\":\"X\","
+                      "\"pid\":1,\"tid\":0,\"ts\":1100,\"dur\":100}"),
+            std::string::npos);
+}
+
+TEST(Profile, SweepSliceCarriesItemsAndEffectiveChunk) {
+  clear_task_events();
+  set_task_events_enabled(true);
+  {
+    support::ThreadPool pool(4);
+    sweep::SweepConfig config;
+    config.pool = &pool;
+    const std::function<int(std::size_t)> id = [](std::size_t i) {
+      return static_cast<int>(i);
+    };
+    (void)sweep::sweep_map<int>(36, id, config);  // auto: 3 per chunk
+  }
+  set_task_events_enabled(false);
+  const Profile profile = build_profile(drain_task_events());
+  clear_task_events();
+  ASSERT_EQ(profile.sweeps.size(), 1u);
+  EXPECT_EQ(profile.sweeps[0].items, 36u);
+  EXPECT_EQ(profile.sweeps[0].chunk_size, 3u);
+  EXPECT_EQ(profile.sweeps[0].chunks, 12u);
+  EXPECT_NE(render_chrome_trace(profile).find(
+                "\"args\":{\"chunks\":12,\"items\":36,\"chunk\":3}"),
+            std::string::npos);
 }
 
 /// Parses the report's per-thread line into {busy, parked, idle} %.
@@ -1212,6 +1162,49 @@ std::string run_capturing_stdout(const std::vector<const char*>& argv,
   return buffer.str();
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = haystack.find(needle); at != std::string::npos;
+       at = haystack.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+/// Experiment `id`'s one "exp" slice names its case sweep; each case is
+/// one chunk of that sweep, so the trace draws every case as exactly
+/// one chunk slice.
+void expect_case_chunk_slices(const std::string& trace,
+                              const std::string& id) {
+  const std::string slice = "{\"name\":\"" + id + "\",\"cat\":\"exp\",";
+  ASSERT_EQ(count_of(trace, slice), 1u) << id;
+  const std::string args = "\"args\":{\"cases\":";
+  const std::size_t at = trace.find(args, trace.find(slice));
+  ASSERT_NE(at, std::string::npos) << id;
+  char* end = nullptr;
+  const std::uint64_t cases =
+      std::strtoull(trace.c_str() + at + args.size(), &end, 10);
+  const std::string sweep_key = ",\"sweep\":";
+  ASSERT_EQ(std::string_view(end, sweep_key.size()), sweep_key) << id;
+  const std::string sweep =
+      std::to_string(std::strtoull(end + sweep_key.size(), nullptr, 10));
+  EXPECT_GE(cases, 1u) << id;
+  for (std::uint64_t c = 0; c < cases; ++c) {
+    EXPECT_EQ(count_of(trace, "{\"name\":\"chunk " + sweep + ":" +
+                                  std::to_string(c) + "\","),
+              1u)
+        << id << " case " << c;
+  }
+}
+
 TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
   const std::string metrics_path = "/tmp/rdv_obs_test_metrics.json";
   const std::string trace_path = "/tmp/rdv_obs_test_trace.json";
@@ -1226,7 +1219,7 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
       {"rdv_bench", "t1_shrink_families", "--smoke", metrics_flag.c_str(),
        trace_flag.c_str()},
       sidecar_rc);
-  set_trace_enabled(false);
+  set_task_events_enabled(false);
 
   EXPECT_EQ(plain_rc, 0);
   EXPECT_EQ(sidecar_rc, 0);
@@ -1235,11 +1228,7 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
 
   // The metrics sidecar parses strictly and carries the pool, sweep,
   // cache, store, and per-experiment series the gate consumes.
-  std::ifstream min(metrics_path, std::ios::binary);
-  ASSERT_TRUE(min.good());
-  std::ostringstream mbuf;
-  mbuf << min.rdbuf();
-  const MetricsSnapshot snap = parse_metrics_json(mbuf.str());
+  const MetricsSnapshot snap = parse_metrics_json(read_file(metrics_path));
   EXPECT_EQ(snap.counters.count("pool.submits"), 1u);
   EXPECT_EQ(snap.counters.count("sweep.chunks"), 1u);
   EXPECT_EQ(snap.counters.count("cache.view_classes.hits"), 1u);
@@ -1250,20 +1239,16 @@ TEST(EndToEnd, PrimaryStdoutIsByteIdenticalWithSidecarsOn) {
   EXPECT_GE(
       snap.histograms.at("exp.t1_shrink_families.wall_micros").count, 1u);
 
-  // The trace sidecar is a Chrome-trace JSON with experiment spans.
-  std::ifstream tin(trace_path, std::ios::binary);
-  ASSERT_TRUE(tin.good());
-  std::ostringstream tbuf;
-  tbuf << tin.rdbuf();
-  const std::string trace = tbuf.str();
+  // --trace-out alone switches the task-event log on: the trace has the
+  // experiment slice, its cases as chunk slices, and flow events.
+  const std::string trace = read_file(trace_path);
   EXPECT_NE(trace.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(trace.find("\"name\":\"t1_shrink_families\""),
-            std::string::npos);
-  EXPECT_NE(trace.find("\"cat\":\"exp.case\""), std::string::npos);
+  expect_case_chunk_slices(trace, "t1_shrink_families");
+  EXPECT_NE(trace.find("\"cat\":\"flow\""), std::string::npos);
 
   ::unlink(metrics_path.c_str());
   ::unlink(trace_path.c_str());
-  clear_trace();
+  clear_task_events();
 }
 
 TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
@@ -1280,7 +1265,6 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
       {"rdv_bench", "t1_shrink_families", "--smoke", profile_flag.c_str(),
        trace_flag.c_str()},
       profiled_rc);
-  set_trace_enabled(false);
   set_task_events_enabled(false);
 
   EXPECT_EQ(plain_rc, 0);
@@ -1289,34 +1273,90 @@ TEST(EndToEnd, ProfileSidecarKeepsStdoutByteIdenticalAndStitchesFlows) {
   EXPECT_EQ(plain, profiled);
 
   // The profile sidecar parses strictly and reconstructs the smoke
-  // run's sweeps with zero ring drops.
-  std::ifstream pin(profile_path, std::ios::binary);
-  ASSERT_TRUE(pin.good());
-  std::ostringstream pbuf;
-  pbuf << pin.rdbuf();
+  // run's experiment and sweeps with zero ring drops.
   Profile profile;
-  ASSERT_TRUE(parse_profile_json(pbuf.str(), &profile));
+  ASSERT_TRUE(parse_profile_json(read_file(profile_path), &profile));
   EXPECT_EQ(profile.dropped, 0u);
   EXPECT_GE(profile.sweeps.size(), 1u);
   EXPECT_FALSE(profile.tasks.empty());
   bool chunk_seen = false;
   for (const TaskProfile& t : profile.tasks) chunk_seen |= t.is_chunk;
   EXPECT_TRUE(chunk_seen);
+  ASSERT_EQ(profile.exps.size(), 1u);
+  EXPECT_EQ(profile.exps[0].id, "t1_shrink_families");
+  EXPECT_NE(profile.exps[0].sweep, 0u);
 
-  // With --profile-out active the trace sidecar carries both the span
-  // slices and the task flow arrows on one timeline.
-  std::ifstream tin(trace_path, std::ios::binary);
-  ASSERT_TRUE(tin.good());
-  std::ostringstream tbuf;
-  tbuf << tin.rdbuf();
-  const std::string trace = tbuf.str();
-  EXPECT_NE(trace.find("\"cat\":\"exp.case\""), std::string::npos);
+  // The trace draws the same timeline: case chunk slices plus the task
+  // flow arrows.
+  const std::string trace = read_file(trace_path);
+  expect_case_chunk_slices(trace, "t1_shrink_families");
   EXPECT_NE(trace.find("\"cat\":\"flow\""), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
 
   ::unlink(profile_path.c_str());
   ::unlink(trace_path.c_str());
-  clear_trace();
+  clear_task_events();
+}
+
+// One timeline: with both sidecars on, every sweep, chunk task and
+// merge of the profile is exactly one slice of the trace, and nothing
+// else draws them a second time.
+TEST(EndToEnd, TraceDrawsEachSweepChunkAndMergeOnce) {
+  const std::string profile_path = "/tmp/rdv_obs_test_once_profile.json";
+  const std::string trace_path = "/tmp/rdv_obs_test_once_trace.json";
+  const std::string profile_flag = "--profile-out=" + profile_path;
+  const std::string trace_flag = "--trace-out=" + trace_path;
+  clear_task_events();
+  int rc = -1;
+  (void)run_capturing_stdout(
+      {"rdv_bench", "t1_shrink_families", "t2_feasibility_characterization",
+       "--smoke", "--threads", "4", profile_flag.c_str(), trace_flag.c_str()},
+      rc);
+  set_task_events_enabled(false);
+  EXPECT_EQ(rc, 0);
+
+  Profile profile;
+  ASSERT_TRUE(parse_profile_json(read_file(profile_path), &profile));
+  const std::string trace = read_file(trace_path);
+  EXPECT_EQ(profile.dropped, 0u);
+  ASSERT_GE(profile.sweeps.size(), 3u);  // two case sweeps, t2's inner ones
+  for (const SweepProfile& s : profile.sweeps) {
+    EXPECT_EQ(count_of(trace,
+                       "{\"name\":\"sweep " + std::to_string(s.id) + "\","),
+              1u)
+        << "sweep " << s.id;
+  }
+  std::size_t chunk_tasks = 0;
+  for (const TaskProfile& t : profile.tasks) {
+    if (!t.is_chunk) continue;
+    ++chunk_tasks;
+    EXPECT_EQ(count_of(trace, "{\"name\":\"chunk " + std::to_string(t.sweep) +
+                                  ":" + std::to_string(t.chunk) + "\","),
+              1u)
+        << "chunk " << t.sweep << ":" << t.chunk;
+  }
+  EXPECT_GE(chunk_tasks, profile.sweeps.size());
+  ASSERT_FALSE(profile.merges.empty());
+  for (const MergeProfile& m : profile.merges) {
+    EXPECT_EQ(count_of(trace, "{\"name\":\"merge " + std::to_string(m.sweep) +
+                                  ":" + std::to_string(m.chunk) + "\","),
+              1u)
+        << "merge " << m.sweep << ":" << m.chunk;
+  }
+  // A second recorder would draw each of them again as a "sweep"
+  // slice named map, chunk or merge.
+  for (const char* span : {"map", "chunk", "merge"}) {
+    EXPECT_EQ(count_of(trace, std::string("{\"name\":\"") + span +
+                                  "\",\"cat\":\"sweep\""),
+              0u)
+        << span;
+  }
+  ASSERT_EQ(profile.exps.size(), 2u);
+  expect_case_chunk_slices(trace, "t1_shrink_families");
+  expect_case_chunk_slices(trace, "t2_feasibility_characterization");
+
+  ::unlink(profile_path.c_str());
+  ::unlink(trace_path.c_str());
   clear_task_events();
 }
 
